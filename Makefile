@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench wcoj-bench acyclic-bench obs-bench bench-diff fault-bench stress trace serve fmt lint ci
+.PHONY: build test race bench wcoj-bench acyclic-bench obs-bench bench-diff fault-bench stress trace serve fmt lint perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -168,5 +168,13 @@ lint:
 	fi
 	$(GO) run ./cmd/relquerylint -baseline lint.baseline ./...
 
+# Vet and test the benchmark module. perfbench/ is its own Go module
+# (perfbench/go.mod, replacing relquery with this checkout), so the
+# root ./... never compiles it: without this target an engine API
+# change could break the benchmark unnoticed. Its self-test asserts a
+# zero error rate and the exact 429 count.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Everything the CI workflow gates on, runnable locally before a push.
-ci: build fmt lint test race stress bench
+ci: build fmt lint test race stress bench perfbench-check

@@ -264,7 +264,7 @@ func BenchmarkE8Acyclic(b *testing.B) {
 		rels := hubWorkload(n)
 		b.Run(fmt.Sprintf("naive/N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := join.Multi(rels, join.Hash{}, join.Sequential, nil); err != nil {
+				if _, err := join.Multi(join.Exec{}, rels, join.Hash{}, join.Sequential); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -317,7 +317,7 @@ func BenchmarkJoinAlgorithms(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := alg.Join(left, right); err != nil {
+				if _, err := alg.Join(join.Exec{}, left, right); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -362,34 +362,32 @@ func BenchmarkE9ParallelEval(b *testing.B) {
 		db := c.Database()
 		for _, cfg := range []struct {
 			name     string
-			opts     algebra.EvalOptions
+			ev       algebra.Evaluator
 			traced   bool
 			registry bool
 		}{
-			{"sequential", algebra.EvalOptions{}, false, false},
-			{"parallel-1", algebra.EvalOptions{Parallelism: 1}, false, false},
-			{"parallel-8", algebra.EvalOptions{Parallelism: 8}, false, false},
-			{"parallel-8-cache", algebra.EvalOptions{Parallelism: 8, Cache: true}, false, false},
-			{"sequential-traced", algebra.EvalOptions{}, true, false},
-			{"parallel-8-traced", algebra.EvalOptions{Parallelism: 8}, true, false},
+			{"sequential", algebra.Evaluator{Order: join.Greedy}, false, false},
+			{"parallel-1", algebra.Evaluator{Parallelism: 1, Order: join.Greedy}, false, false},
+			{"parallel-8", algebra.Evaluator{Parallelism: 8, Order: join.Greedy}, false, false},
+			{"parallel-8-cache", algebra.Evaluator{Parallelism: 8, Cache: true, Order: join.Greedy}, false, false},
+			{"sequential-traced", algebra.Evaluator{Order: join.Greedy}, true, false},
+			{"parallel-8-traced", algebra.Evaluator{Parallelism: 8, Order: join.Greedy}, true, false},
 			// The -registry variant adds the process-wide telemetry
 			// publish (histograms + totals fold + trace ring) on top of
 			// tracing — the cost of feeding /metrics, per evaluation.
-			{"parallel-8-registry", algebra.EvalOptions{Parallelism: 8}, true, true},
+			{"parallel-8-registry", algebra.Evaluator{Parallelism: 8, Order: join.Greedy}, true, true},
 		} {
 			reg := obs.NewRegistry()
 			b.Run(fmt.Sprintf("%s/%s", fam.name, cfg.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					opts := cfg.opts
+					ev := cfg.ev
 					if cfg.traced {
-						opts.Collector = &obs.Collector{}
+						ev.Collector = &obs.Collector{}
 					}
 					if cfg.registry {
-						opts.Registry = reg
+						ev.Registry = reg
 					}
-					ev := opts.NewEvaluator()
-					ev.Order = join.Greedy
 					if _, err := ev.Eval(phi, db); err != nil {
 						b.Fatal(err)
 					}

@@ -121,6 +121,7 @@ func run(args []string) error {
 	if err != nil {
 		return usageError(fs, "%v", err)
 	}
+	limits.MaxIntermediateRows = *budget
 	src := *query
 	if *queryFile != "" {
 		data, err := os.ReadFile(*queryFile)
@@ -155,8 +156,8 @@ func run(args []string) error {
 		expr = rewritten
 	}
 
+	ev := algebra.Evaluator{Algorithm: alg, Order: order, AutoWCOJ: auto, AutoYannakakis: auto, Limits: limits, Admit: *admit, Degrade: *degrade}
 	if *explain {
-		ev := algebra.Evaluator{Algorithm: alg, Order: order, MaxIntermediate: *budget, AutoWCOJ: auto, AutoYannakakis: auto, Limits: limits, Admit: *admit, Degrade: *degrade}
 		plan, err := algebra.ExplainWith(&ev, expr, db)
 		if err != nil {
 			return err
@@ -190,7 +191,7 @@ func run(args []string) error {
 	var result *relation.Relation
 	switch *engine {
 	case "materialize":
-		opts := algebra.EvalOptions{Parallelism: *parallel, Cache: *cache, AutoWCOJ: auto, AutoYannakakis: auto}
+		ev.Parallelism, ev.Cache = *parallel, *cache
 		// When the parallel engine is on and -join was left at its
 		// default, let the evaluator pick the partitioned parallel hash
 		// join; an explicit -join always wins.
@@ -200,6 +201,9 @@ func run(args []string) error {
 				joinFlagSet = true
 			}
 		})
+		if ev.Parallelism > 1 && !joinFlagSet {
+			ev.Algorithm = nil
+		}
 		// Attach a collector only when some observability output was
 		// requested: a nil collector keeps the engine on its
 		// zero-overhead fast path. -serve implies one — the telemetry
@@ -209,22 +213,7 @@ func run(args []string) error {
 		if *analyze || *tracePath != "" || *metrics || *stats || *serveAddr != "" {
 			collector = &obs.Collector{}
 		}
-		ev := algebra.Evaluator{
-			Algorithm:       alg,
-			Order:           order,
-			MaxIntermediate: *budget,
-			Parallelism:     opts.Parallelism,
-			Cache:           opts.Cache,
-			AutoWCOJ:        opts.AutoWCOJ,
-			AutoYannakakis:  opts.AutoYannakakis,
-			Collector:       collector,
-			Limits:          limits,
-			Admit:           *admit,
-			Degrade:         *degrade,
-		}
-		if opts.Parallelism > 1 && !joinFlagSet {
-			ev.Algorithm = nil
-		}
+		ev.Collector = collector
 		if *serveAddr != "" {
 			ev.Registry = obs.NewRegistry()
 			srv, err := telemetry.Start(*serveAddr, ev.Registry)
@@ -275,7 +264,7 @@ func run(args []string) error {
 		if *stats {
 			snap := collector.Metrics.Snapshot()
 			fmt.Fprintf(os.Stderr, "engine=materialize join=%s order=%s parallel=%d cache=%v joins=%d max_intermediate=%d intermediate_tuples=%d\n",
-				ev.AlgorithmName(), order, opts.Parallelism, opts.Cache,
+				ev.AlgorithmName(), order, ev.Parallelism, ev.Cache,
 				snap.Joins, snap.MaxIntermediate, snap.IntermediateTuples)
 		}
 		if *analyze {

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -13,62 +14,6 @@ import (
 	"relquery/internal/relation"
 )
 
-// EvalOptions is the engine-tuning knob threaded from the CLI and the
-// decide layer down to the evaluator. The zero value selects the
-// sequential engine with no caching — exactly the pre-parallel behavior.
-type EvalOptions struct {
-	// Parallelism > 1 turns on the parallel engine: independent
-	// subtrees of each join node evaluate concurrently on a worker pool
-	// of this size, and binary joins default to the partitioned parallel
-	// hash join (join.Parallel) with this many workers. Values <= 1 mean
-	// fully sequential evaluation.
-	Parallelism int
-	// Cache memoizes structurally identical subexpressions within each
-	// Eval call (see Evaluator.Cache).
-	Cache bool
-	// SharedCache, when non-nil, memoizes subexpression results across
-	// Eval calls and callers, keyed by expression text plus relation
-	// fingerprints (see Evaluator.SharedCache). relqueryd threads one
-	// process-wide cache through every request here.
-	SharedCache *SubexprCache
-	// AutoWCOJ lets blow-up-prone n-ary join nodes switch to the
-	// worst-case-optimal generic join (see Evaluator.AutoWCOJ).
-	AutoWCOJ bool
-	// AutoYannakakis routes α-acyclic n-ary join nodes to Yannakakis'
-	// algorithm (see Evaluator.AutoYannakakis).
-	AutoYannakakis bool
-	// Collector, when non-nil, traces the evaluation (see
-	// Evaluator.Collector).
-	Collector *obs.Collector
-	// Registry, when non-nil, receives each evaluation's outcome for
-	// process-wide telemetry (see Evaluator.Registry).
-	Registry *obs.Registry
-	// Limits bounds the evaluation — deadline, row budgets, memory model
-	// (see Evaluator.Limits). The zero Limits is unlimited.
-	Limits governor.Limits
-	// Admit turns on pre-flight admission control (see Evaluator.Admit).
-	Admit bool
-	// Degrade turns on graceful degradation (see Evaluator.Degrade).
-	Degrade bool
-}
-
-// NewEvaluator returns an evaluator configured by the options, with
-// default join algorithm and order.
-func (o EvalOptions) NewEvaluator() *Evaluator {
-	return &Evaluator{
-		Parallelism:    o.Parallelism,
-		Cache:          o.Cache,
-		SharedCache:    o.SharedCache,
-		AutoWCOJ:       o.AutoWCOJ,
-		AutoYannakakis: o.AutoYannakakis,
-		Collector:      o.Collector,
-		Registry:       o.Registry,
-		Limits:         o.Limits,
-		Admit:          o.Admit,
-		Degrade:        o.Degrade,
-	}
-}
-
 // Evaluator materializes project–join expressions against a database. The
 // zero value is ready to use: hash joins, greedy join ordering, no
 // statistics.
@@ -77,14 +22,6 @@ type Evaluator struct {
 	Algorithm join.Algorithm
 	// Order sequences n-ary joins (join.Greedy or join.Sequential).
 	Order join.Order
-	// MaxIntermediate, when positive, aborts evaluation with
-	// ErrBudgetExceeded as soon as any intermediate relation exceeds that
-	// many tuples. It is the guard rail for exponential blow-up.
-	//
-	// The field predates Limits and is folded into
-	// Limits.MaxIntermediateRows (the tighter of the two wins); new code
-	// should set Limits directly.
-	MaxIntermediate int
 	// Limits bounds the evaluation with the resource governor: a
 	// wall-clock deadline, a final-result row cap, the intermediate-row
 	// budget and an estimated-memory budget. Every join strategy checks
@@ -133,12 +70,6 @@ type Evaluator struct {
 	// join.Yannakakis{} to force the strategy on every join node instead
 	// (cyclic nodes then use its pairwise-reduced binary fallback).
 	AutoYannakakis bool
-	// SemijoinPrefilter, when true, runs pairwise semijoin reduction to
-	// fixpoint over each n-ary join's inputs before joining. The filter is
-	// always sound; it is complete (removes every dangling tuple) exactly
-	// for acyclic joins. It cannot tame the paper's gadget queries — their
-	// intermediate blow-up arises from recombination, not dangling tuples.
-	SemijoinPrefilter bool
 	// Cache, when true, memoizes structurally identical subexpressions
 	// within one Eval call (common-subexpression elimination), keyed by
 	// the rendered expression text. The memo does not outlive the call —
@@ -163,11 +94,8 @@ type Evaluator struct {
 	// AGM bound) and evaluation-wide counters into an obs trace. Nil — the
 	// zero value — keeps the engine on its uninstrumented fast path: span
 	// and metric calls reduce to nil checks, with no allocation or clock
-	// reads (see BenchmarkE9ParallelEval's traced/untraced pairs).
-	//
-	// Collector supersedes the removed Stats field (and the deprecated
-	// join.Stats shim): it observes everything Stats did and more, with
-	// race-free mid-run snapshots (Collector.Metrics.Snapshot).
+	// reads (see BenchmarkE9ParallelEval's traced/untraced pairs). Its
+	// metrics snapshots are race-free mid-run (Collector.Metrics.Snapshot).
 	Collector *obs.Collector
 	// Registry, when non-nil, aggregates every EvalContext outcome —
 	// success or violation — into process-wide telemetry: wall time into
@@ -177,12 +105,6 @@ type Evaluator struct {
 	// costs one nil check per evaluation.
 	Registry *obs.Registry
 }
-
-// ErrBudgetExceeded is returned (wrapped) when evaluation exceeds the
-// Evaluator's intermediate-row budget. It is the governor's row-budget
-// sentinel under its historical algebra name, so errors.Is works with
-// either spelling; match with errors.Is, never ==.
-var ErrBudgetExceeded = governor.ErrRowBudget
 
 // AlgorithmName names the binary-join algorithm the evaluator will
 // actually use, resolving the nil default ("hash", or "parallel" when
@@ -197,38 +119,6 @@ func (ev *Evaluator) algorithm() join.Algorithm {
 		return join.Parallel{Workers: ev.Parallelism}
 	}
 	return join.Hash{}
-}
-
-// limits resolves the evaluation's effective limits, folding the legacy
-// MaxIntermediate field into the governor's intermediate-row budget (the
-// tighter of the two wins).
-func (ev *Evaluator) limits() governor.Limits {
-	l := ev.Limits
-	if ev.MaxIntermediate > 0 && (l.MaxIntermediateRows == 0 || ev.MaxIntermediate < l.MaxIntermediateRows) {
-		l.MaxIntermediateRows = ev.MaxIntermediate
-	}
-	return l
-}
-
-// observeGoverned enforces the governor's row and memory budgets against
-// one materialized relation.
-func observeGoverned(gov *governor.Governor, r *relation.Relation) error {
-	if gov == nil {
-		return nil
-	}
-	if err := gov.CheckRows(r.Len()); err != nil {
-		return err
-	}
-	return gov.ChargeBytes(relationBytes(r))
-}
-
-// relationBytes is the governor's memory model for one materialized
-// relation: a coarse per-value estimate (string header + small payload)
-// plus per-tuple overhead. Deliberately simple and deterministic — the
-// budget bounds an estimate of cumulative materialization, not RSS.
-func relationBytes(r *relation.Relation) int64 {
-	const bytesPerValue, bytesPerTuple = 24, 48
-	return int64(r.Len()) * int64(r.Scheme().Len()*bytesPerValue+bytesPerTuple)
 }
 
 // Eval computes e(db). Operand references are checked against the
@@ -251,7 +141,7 @@ func (ev *Evaluator) EvalContext(ctx context.Context, e Expr, db relation.Databa
 	if ev.Registry != nil {
 		start = time.Now() // clock read only when telemetry is on
 	}
-	gov := governor.New(ctx, ev.limits()).WithMetrics(ev.Collector.M())
+	gov := governor.New(ctx, ev.Limits).WithMetrics(ev.Collector.M())
 	var memo *memoTable
 	if ev.Cache {
 		memo = newMemoTable()
@@ -406,7 +296,8 @@ func (ev *Evaluator) evalNode(e Expr, db relation.Database, memo *memoTable, sp 
 			return nil, err
 		}
 		ev.Collector.M().ObserveIntermediate(out.Len())
-		if err := observeGoverned(gov, out); err != nil {
+		// A projection is not a join node: its context carries no span.
+		if err := (join.Exec{Gov: gov}).Observe(out); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -473,8 +364,9 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, memo *memoTabl
 	return args, nil
 }
 
-// multi joins args, aborting mid-plan — and, under a governor, mid-join —
-// as soon as any checkpoint trips.
+// multi joins args under the node's execution context, aborting
+// mid-plan — and, under a governor, mid-join — as soon as any checkpoint
+// trips.
 func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
 	if sp != nil {
 		ins := make([]int, len(args))
@@ -483,49 +375,30 @@ func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governo
 		}
 		sp.SetInputs(ins)
 	}
-	if ev.SemijoinPrefilter && len(args) > 1 {
-		reduced, _, err := join.ReduceFixpoint(args)
-		if err != nil {
-			return nil, err
-		}
-		args = reduced
-	}
+	x := join.Exec{Metrics: ev.Collector.M(), Gov: gov, Span: sp}
 	alg := ev.algorithm()
-	if m := ev.Collector.M(); m != nil {
-		if ma, ok := alg.(join.Metered); ok {
-			alg = ma.WithMetrics(m)
-		}
-		if len(args) == 1 {
-			// join.Multi passes a single input through without a binary
-			// join; fold it into the intermediate statistics anyway.
-			m.ObserveIntermediate(args[0].Len())
-		}
-	}
-	if gov != nil {
-		if ga, ok := alg.(join.Governed); ok {
-			alg = ga.WithGovernor(gov)
-		}
+	if len(args) == 1 {
+		// join.Multi passes a single input through without a binary
+		// join; fold it into the intermediate statistics anyway.
+		x.Metrics.ObserveIntermediate(args[0].Len())
 	}
 	if len(args) > 1 {
-		y, forcedY := alg.(join.Yannakakis)
+		_, forcedY := alg.(join.Yannakakis)
 		if forcedY || (ev.AutoYannakakis && len(args) > 2) {
 			// A binary join's only intermediate is its own output, so the
 			// full reducer has nothing to save there — auto mode runs GYO
 			// detection on 3+-ary nodes only. Forced mode always detects:
 			// two edges are trivially acyclic.
 			if join.Acyclic(join.SchemesOf(args)) {
-				if !forcedY {
-					y = join.Yannakakis{Metrics: ev.Collector.M(), Gov: gov}
-				}
-				return ev.multiYannakakis(y, args, sp, gov)
+				return ev.multiYannakakis(x, args)
 			}
 			// Cyclic: record the verdict and fall through — to the AGM
 			// blow-up check under auto, or (forced) to the binary planner
 			// over the algorithm's pairwise-reduced joins.
 			sp.SetStructure(obs.StructureCyclic)
 		}
-		if g, forced := alg.(join.Generic); forced {
-			return ev.multiGeneric(g, args, sp, gov)
+		if _, forced := alg.(join.Generic); forced {
+			return ev.multiGeneric(x, args)
 		}
 		if ev.AutoWCOJ && len(args) > 2 {
 			// Binary joins cannot exceed their own AGM bound, so only
@@ -538,19 +411,19 @@ func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governo
 			if bound := join.AGMBoundOf(args); bound > 0 {
 				peak := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
 				if peak > bound {
-					return ev.multiGeneric(join.Generic{Metrics: ev.Collector.M(), Gov: gov}, args, sp, gov)
+					return ev.multiGeneric(x, args)
 				}
 			}
 		}
 	}
-	return ev.multiBinary(args, sp, gov, alg, ev.Order)
+	return ev.multiBinary(x, args, alg, ev.Order)
 }
 
 // multiBinary runs the binary-join planner tail of multi: the admission
-// gate, span annotation, per-join governance, and the plan itself, with
-// strategy panics recovered to errors. It is also the graceful-degradation
-// retry target.
-func (ev *Evaluator) multiBinary(args []*relation.Relation, sp *obs.Span, gov *governor.Governor, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
+// gate, span annotation and the plan itself (join.Multi observes every
+// binary-join output through x), with strategy panics recovered to
+// errors. It is also the graceful-degradation retry target.
+func (ev *Evaluator) multiBinary(x join.Exec, args []*relation.Relation, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
 	if ev.Admit && len(args) > 1 {
 		// Pre-flight admission: reject before any join work when the
 		// binary planner's predicted peak intermediate already exceeds
@@ -558,30 +431,24 @@ func (ev *Evaluator) multiBinary(args []*relation.Relation, sp *obs.Span, gov *g
 		// their peak is capped by their own output, so they are admitted
 		// and guarded mid-flight by the row budget instead.
 		peak := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
-		if err := gov.Admit(peak, 0); err != nil {
+		if err := x.Gov.Admit(peak, 0); err != nil {
+			var ae *governor.AdmissionError
+			if errors.As(err, &ae) {
+				ae.AGMBound = join.AGMBoundOf(args)
+			}
 			return nil, err
 		}
 	}
-	if sp != nil {
-		// The AGM bound is a function of the joined inputs (post
-		// prefilter — those are the relations actually joined).
-		sp.SetAGMBound(join.AGMBoundOf(args))
+	if x.Span != nil {
+		x.Span.SetAGMBound(join.AGMBoundOf(args))
 		workers := 0
 		if p, ok := alg.(join.Parallel); ok {
 			workers = p.EffectiveWorkers()
 		}
-		sp.SetAlgorithm(alg.Name(), workers)
-		// Record every binary-join output inside this n-ary node: the
-		// paper's blow-up lives in these intermediates, not in the node's
-		// final output. Wrapped inside the budget guard so a blown-up
-		// intermediate is recorded even when it aborts evaluation.
-		alg = spanObserver{inner: alg, sp: sp}
-	}
-	if gov != nil {
-		alg = governedAlgorithm{inner: alg, gov: gov}
+		x.Span.SetAlgorithm(alg.Name(), workers)
 	}
 	return safeJoin("binary join plan", func() (*relation.Relation, error) {
-		return join.Multi(args, alg, order, nil)
+		return join.Multi(x, args, alg, order)
 	})
 }
 
@@ -610,14 +477,13 @@ func safeJoin(what string, fn func() (*relation.Relation, error)) (out *relation
 // once on the greedy binary path with the default hash join. The retry
 // is recorded in the degraded_evals metric and on the span; its own
 // failure (including a budget kill of the greedier plan) propagates.
-func (ev *Evaluator) degrade(cause error, args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error, bool) {
+func (ev *Evaluator) degrade(cause error, x join.Exec, args []*relation.Relation) (*relation.Relation, error, bool) {
 	if !ev.Degrade || governor.Violated(cause) {
 		return nil, nil, false
 	}
-	ev.Collector.M().Degraded()
-	sp.SetDegraded()
-	var alg join.Algorithm = join.Hash{Metrics: ev.Collector.M(), Gov: gov}
-	out, err := ev.multiBinary(args, sp, gov, alg, join.Greedy)
+	x.Metrics.Degraded()
+	x.Span.SetDegraded()
+	out, err := ev.multiBinary(x, args, join.Hash{}, join.Greedy)
 	if err != nil {
 		return nil, fmt.Errorf("algebra: degraded retry failed: %w (original failure: %w)", err, cause), true
 	}
@@ -630,29 +496,25 @@ func (ev *Evaluator) degrade(cause error, args []*relation.Relation, sp *obs.Spa
 // most the AGM bound the span records. A strategy failure (engine error
 // or recovered panic) degrades to the greedy binary path when the
 // evaluator opts in.
-func (ev *Evaluator) multiGeneric(g join.Generic, args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
-	if sp != nil {
-		sp.SetAGMBound(join.AGMBoundOf(args))
-		sp.SetAlgorithm(g.Name(), 0)
+func (ev *Evaluator) multiGeneric(x join.Exec, args []*relation.Relation) (*relation.Relation, error) {
+	if x.Span != nil {
+		x.Span.SetAGMBound(join.AGMBoundOf(args))
+		x.Span.SetAlgorithm(join.Generic{}.Name(), 0)
 	}
 	var gs join.GenericStats
 	out, err := safeJoin("wcoj strategy", func() (*relation.Relation, error) {
-		var err error
-		out, stats, err := g.JoinAllStats(args)
+		out, stats, err := join.Generic{}.JoinAll(x, args)
 		gs = stats
 		return out, err
 	})
 	if err != nil {
-		if dout, derr, degraded := ev.degrade(err, args, sp, gov); degraded {
+		if dout, derr, degraded := ev.degrade(err, x, args); degraded {
 			return dout, derr
 		}
 		return nil, err
 	}
-	if sp != nil {
-		sp.ObservePeak(out.Len())
-		sp.SetWCOJ(gs.Candidates, gs.Intersections)
-	}
-	if err := observeGoverned(gov, out); err != nil {
+	x.Span.SetWCOJ(gs.Candidates, gs.Intersections)
+	if err := x.Observe(out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -660,78 +522,28 @@ func (ev *Evaluator) multiGeneric(g join.Generic, args []*relation.Relation, sp 
 
 // multiYannakakis evaluates an α-acyclic n-ary join node with Yannakakis'
 // algorithm: full semijoin reduction along the GYO join tree, then joins
-// that never outgrow the output. Every relation the algorithm
-// materializes — each semijoin result and each tree join — is folded into
-// the span's MaxIntermediate and checked against the budget, so the
-// output-boundedness claim is visible in (and enforced on) the trace.
-func (ev *Evaluator) multiYannakakis(y join.Yannakakis, args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
-	if sp != nil {
-		sp.SetAGMBound(join.AGMBoundOf(args))
-		sp.SetAlgorithm(y.Name(), 0)
-		sp.SetStructure(obs.StructureAcyclic)
-	}
-	observe := func(r *relation.Relation) error {
-		sp.ObservePeak(r.Len())
-		return observeGoverned(gov, r)
+// that never outgrow the output. The algorithm observes every relation it
+// materializes — each semijoin result and each tree join — through x, so
+// the output-boundedness claim is visible in (and enforced on) the trace.
+func (ev *Evaluator) multiYannakakis(x join.Exec, args []*relation.Relation) (*relation.Relation, error) {
+	if x.Span != nil {
+		x.Span.SetAGMBound(join.AGMBoundOf(args))
+		x.Span.SetAlgorithm(join.Yannakakis{}.Name(), 0)
+		x.Span.SetStructure(obs.StructureAcyclic)
 	}
 	var ys join.YannakakisStats
 	out, err := safeJoin("yannakakis strategy", func() (*relation.Relation, error) {
-		var err error
-		out, stats, err := y.JoinAllStats(args, observe)
+		out, stats, err := join.Yannakakis{}.JoinAll(x, args)
 		ys = stats
 		return out, err
 	})
 	if err != nil {
-		if dout, derr, degraded := ev.degrade(err, args, sp, gov); degraded {
+		if dout, derr, degraded := ev.degrade(err, x, args); degraded {
 			return dout, derr
 		}
 		return nil, err
 	}
-	if sp != nil {
-		sp.ObservePeak(out.Len())
-		sp.SetYannakakis(ys.Semijoins, ys.ReducedRows)
-	}
-	return out, nil
-}
-
-// spanObserver wraps an Algorithm and folds every binary-join output into
-// the owning join span's MaxIntermediate.
-type spanObserver struct {
-	inner join.Algorithm
-	sp    *obs.Span
-}
-
-func (s spanObserver) Name() string { return s.inner.Name() }
-
-func (s spanObserver) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := s.inner.Join(l, r)
-	if err != nil {
-		return nil, err
-	}
-	s.sp.ObservePeak(out.Len())
-	return out, nil
-}
-
-// governedAlgorithm wraps an Algorithm and enforces the governor's row
-// and memory budgets on every binary-join result. The join algorithms
-// also check the row budget mid-join at batch granularity; this wrapper
-// is the authoritative post-join check (the batch checks can trail the
-// last partial batch) and the memory-accounting point.
-type governedAlgorithm struct {
-	inner join.Algorithm
-	gov   *governor.Governor
-}
-
-func (ga governedAlgorithm) Name() string { return ga.inner.Name() }
-
-func (ga governedAlgorithm) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := ga.inner.Join(l, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := observeGoverned(ga.gov, out); err != nil {
-		return nil, err
-	}
+	x.Span.SetYannakakis(ys.Semijoins, ys.ReducedRows)
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
@@ -148,12 +149,12 @@ func TestEvalBudget(t *testing.T) {
 		MustOperand("L", relation.MustScheme("A")),
 		MustOperand("R", relation.MustScheme("B")),
 	)
-	ev := Evaluator{MaxIntermediate: 10}
+	ev := Evaluator{Limits: governor.Limits{MaxIntermediateRows: 10}}
 	_, err := ev.Eval(e, db)
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("err = %v, want ErrBudgetExceeded", err)
+	if !errors.Is(err, governor.ErrRowBudget) {
+		t.Errorf("err = %v, want ErrRowBudget", err)
 	}
-	ev = Evaluator{MaxIntermediate: 16}
+	ev = Evaluator{Limits: governor.Limits{MaxIntermediateRows: 16}}
 	if _, err := ev.Eval(e, db); err != nil {
 		t.Errorf("budget 16 failed: %v", err)
 	}
@@ -162,9 +163,9 @@ func TestEvalBudget(t *testing.T) {
 func TestEvalBudgetOnProjection(t *testing.T) {
 	db := relation.Single("T", mkrel(t, "A B", "1 1", "2 2", "3 3"))
 	e := MustProject(relation.MustScheme("A"), MustOperand("T", relation.MustScheme("A", "B")))
-	ev := Evaluator{MaxIntermediate: 2}
-	if _, err := ev.Eval(e, db); !errors.Is(err, ErrBudgetExceeded) {
-		t.Errorf("err = %v, want ErrBudgetExceeded", err)
+	ev := Evaluator{Limits: governor.Limits{MaxIntermediateRows: 2}}
+	if _, err := ev.Eval(e, db); !errors.Is(err, governor.ErrRowBudget) {
+		t.Errorf("err = %v, want ErrRowBudget", err)
 	}
 }
 
@@ -197,10 +198,10 @@ func TestEvalMultiRelationDatabase(t *testing.T) {
 	}
 }
 
-func TestEvalSemijoinPrefilter(t *testing.T) {
-	// Hub workload: without the prefilter the first join materializes all
-	// pairs; with it, the empty-matching third relation empties everything
-	// first.
+func TestEvalAutoYannakakisRemovesDangling(t *testing.T) {
+	// Hub workload: the binary plan's first join materializes all pairs;
+	// the acyclic route's full reducer lets the empty-matching third
+	// relation empty everything before any join runs.
 	db := relation.NewDatabase()
 	l := mkrel(t, "A B")
 	r := mkrel(t, "B C")
@@ -216,19 +217,19 @@ func TestEvalSemijoinPrefilter(t *testing.T) {
 		MustOperand("R", relation.MustScheme("B", "C")),
 		MustOperand("S", relation.MustScheme("C", "D")),
 	)
-	plain, filtered := &obs.Collector{}, &obs.Collector{}
+	plain, reduced := &obs.Collector{}, &obs.Collector{}
 	evPlain := Evaluator{Order: join.Sequential, Collector: plain}
 	got1, err := evPlain.Eval(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evFiltered := Evaluator{Order: join.Sequential, Collector: filtered, SemijoinPrefilter: true}
-	got2, err := evFiltered.Eval(e, db)
+	evReduced := Evaluator{Order: join.Sequential, Collector: reduced, AutoYannakakis: true}
+	got2, err := evReduced.Eval(e, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got1.Equal(got2) {
-		t.Fatal("prefilter changed the result")
+		t.Fatal("full reduction changed the result")
 	}
 	if got1.Len() != 0 {
 		t.Fatalf("result = %d tuples, want 0", got1.Len())
@@ -236,8 +237,8 @@ func TestEvalSemijoinPrefilter(t *testing.T) {
 	if maxI := plain.Metrics.Snapshot().MaxIntermediate; maxI < 400 {
 		t.Errorf("plain max intermediate = %d, expected the 20x20 blowup", maxI)
 	}
-	if maxI := filtered.Metrics.Snapshot().MaxIntermediate; maxI != 0 {
-		t.Errorf("filtered max intermediate = %d, want 0", maxI)
+	if maxI := reduced.Metrics.Snapshot().MaxIntermediate; maxI != 0 {
+		t.Errorf("reduced max intermediate = %d, want 0", maxI)
 	}
 }
 

@@ -317,9 +317,6 @@ func TestGovernorViolationNeverDegrades(t *testing.T) {
 	if !errors.Is(err, governor.ErrRowBudget) {
 		t.Fatalf("want governor.ErrRowBudget, got %v", err)
 	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("historical alias ErrBudgetExceeded must match the same chain: %v", err)
-	}
 	if n := col.Metrics.Snapshot().DegradedEvals; n != 0 {
 		t.Fatalf("a row-budget kill degraded %d times, want 0", n)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -75,7 +76,7 @@ func TestParallelEvalMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 2, 8} {
-		ev := EvalOptions{Parallelism: par, Cache: true}.NewEvaluator()
+		ev := &Evaluator{Parallelism: par, Cache: true}
 		got, err := ev.Eval(e, db)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
@@ -190,7 +191,7 @@ func TestParallelEvalBudget(t *testing.T) {
 	db := relation.Single("T", r)
 	op := MustOperand("T", r.Scheme())
 	e := legsExpr(t, op, [][]string{{"A", "B"}, {"B", "C"}})
-	ev := Evaluator{Parallelism: 8, MaxIntermediate: 10}
+	ev := Evaluator{Parallelism: 8, Limits: governor.Limits{MaxIntermediateRows: 10}}
 	if _, err := ev.Eval(e, db); err == nil {
 		t.Fatal("budget 10 not enforced under parallel evaluation")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/join"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
@@ -318,12 +319,12 @@ func TestAutoSelectorEdgeCases(t *testing.T) {
 // the full reducer's materializations.
 func TestYannakakisBudgetEnforced(t *testing.T) {
 	db, e := danglingPath(t, 8)
-	ev := Evaluator{Algorithm: join.Yannakakis{}, Order: join.Greedy, MaxIntermediate: 2}
+	ev := Evaluator{Algorithm: join.Yannakakis{}, Order: join.Greedy, Limits: governor.Limits{MaxIntermediateRows: 2}}
 	_, err := ev.Eval(e, db)
 	if err == nil {
 		t.Fatal("budget 2 not enforced under yannakakis")
 	}
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("error is not ErrBudgetExceeded: %v", err)
+	if !errors.Is(err, governor.ErrRowBudget) {
+		t.Fatalf("error is not ErrRowBudget: %v", err)
 	}
 }

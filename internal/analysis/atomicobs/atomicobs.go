@@ -8,7 +8,7 @@
 // or comparing it reads or writes the value non-atomically: the racy
 // read may tear, and — worse — a copied counter silently forks the
 // metric, which is exactly the mutex-plus-exported-fields bug class the
-// deprecated join.Stats had and obs.Metrics was introduced to end. The
+// old join statistics type had and obs.Metrics was introduced to end. The
 // check applies to any struct in the module with atomic-typed fields,
 // so future metric sets inherit the rule.
 package atomicobs

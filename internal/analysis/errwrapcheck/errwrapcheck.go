@@ -5,7 +5,7 @@
 // Invariant guarded: the decision procedures return their budget
 // sentinel wrapped — decide.ErrBudget always arrives inside an
 // fmt.Errorf("%w: visited %d tuples ...") chain, and
-// algebra.ErrBudgetExceeded likewise — so callers that compare with ==
+// governor.ErrRowBudget likewise — so callers that compare with ==
 // never match and silently misclassify a truncated search as a hard
 // error. That is precisely the bug class PR 4 fixed by hand in
 // internal/decide; this pass makes the fix permanent. Dually, building

@@ -90,6 +90,32 @@ func isGovernorPtr(t types.Type) bool {
 	return t != nil && framework.IsNamed(t, "governor", "Governor")
 }
 
+// carriesGovernor reports whether a value of type t hands its holder a
+// governor: t is the governor pointer itself, or a struct (or pointer to
+// one) with a governor field — the join package's execution context,
+// whose Gov field is the only governor a strategy receives.
+func carriesGovernor(t types.Type) bool {
+	if isGovernorPtr(t) {
+		return true
+	}
+	if t == nil {
+		return false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isGovernorPtr(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
 type checker struct {
 	pass  *framework.Pass
 	reach *framework.Reachability
@@ -97,10 +123,10 @@ type checker struct {
 }
 
 // checkFunc flags ungoverned tuple loops in one declared function. The
-// check only applies when a governor is in scope — as a parameter, the
-// receiver, or any expression mentioned in the body (an evaluator's
-// Gov field, a local) — because without one there is nothing the loop
-// could tick.
+// check only applies when a governor is in scope — as the receiver, a
+// parameter (directly or as a field of a context struct like join.Exec),
+// or any expression mentioned in the body (an evaluator's Gov field, a
+// local) — because without one there is nothing the loop could tick.
 func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	if !c.governorInScope(fd) {
 		return
@@ -121,8 +147,9 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 }
 
 // governorInScope reports whether fd has a *governor.Governor reachable
-// by name: in its signature (receiver included) or as any typed
-// expression in its body.
+// by name: in its signature (receiver included; parameters also count
+// when they are context structs carrying one) or as any typed expression
+// in its body.
 func (c *checker) governorInScope(fd *ast.FuncDecl) bool {
 	obj, ok := c.pass.Info.Defs[fd.Name].(*types.Func)
 	if ok {
@@ -132,7 +159,7 @@ func (c *checker) governorInScope(fd *ast.FuncDecl) bool {
 		}
 		params := sig.Params()
 		for i := 0; i < params.Len(); i++ {
-			if isGovernorPtr(params.At(i).Type()) {
+			if carriesGovernor(params.At(i).Type()) {
 				return true
 			}
 		}
@@ -206,7 +233,8 @@ func (c *checker) checkLoop(at ast.Node, body *ast.BlockStmt, what string) {
 // delegatesGovernor reports whether any call or composite literal under
 // n hands a *governor.Governor to other code — the engine's idiom for
 // "the callee governs on our behalf" (sub-evaluators take Gov fields,
-// helpers take governor parameters).
+// helpers take governor parameters or an execution context carrying
+// one).
 func delegatesGovernor(pass *framework.Pass, n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(x ast.Node) bool {
@@ -216,7 +244,7 @@ func delegatesGovernor(pass *framework.Pass, n ast.Node) bool {
 		switch y := x.(type) {
 		case *ast.CallExpr:
 			for _, arg := range y.Args {
-				if isGovernorPtr(pass.Info.TypeOf(arg)) {
+				if carriesGovernor(pass.Info.TypeOf(arg)) {
 					found = true
 					return false
 				}

@@ -34,7 +34,13 @@ func runE7(cfg *Config) error {
 	if cfg.Quick {
 		maxExtra = 2
 	}
+	// The row budget caps every measurement; a tighter configured
+	// budget wins.
 	const budget = 2_000_000
+	limits := cfg.Limits
+	if limits.MaxIntermediateRows == 0 || budget < limits.MaxIntermediateRows {
+		limits.MaxIntermediateRows = budget
+	}
 	fmt.Fprintf(cfg.Out, "workload: 8-clause unsat core + k padding clauses; input = output = 7m+1 rows\n")
 	t := newTable(cfg.Out, "m", "input_rows", "output_rows", "max_intermediate(seq)", "max_intermediate(greedy)", "blowup(greedy)", "tableau_ms")
 	// The largest greedy evaluation's trace is kept for cfg.Trace: its span
@@ -57,14 +63,13 @@ func runE7(cfg *Config) error {
 
 		// Each measurement runs under its own obs.Collector and reads the
 		// blow-up from the metrics snapshot; the span tree doubles as the
-		// -trace artifact. (Earlier revisions read the deprecated
-		// join.Stats here.)
+		// -trace artifact.
 		measure := func(order join.Order) (string, int, *obs.Trace) {
 			col := &obs.Collector{}
-			ev := algebra.Evaluator{Order: order, MaxIntermediate: budget, Collector: col, Limits: cfg.Limits, Registry: cfg.Registry}
+			ev := algebra.Evaluator{Order: order, Collector: col, Limits: limits, Registry: cfg.Registry}
 			_, err := ev.Eval(phi, c.Database())
 			if err != nil {
-				if errors.Is(err, algebra.ErrBudgetExceeded) {
+				if errors.Is(err, governor.ErrRowBudget) {
 					return fmt.Sprintf(">%d", budget), budget, col.Trace()
 				}
 				if errors.Is(err, governor.ErrDeadline) {
@@ -126,7 +131,7 @@ func runE8(cfg *Config) error {
 
 		var m obs.Metrics
 		start := time.Now()
-		naive, err := join.Multi(rels, join.Hash{Metrics: &m}, join.Sequential, nil)
+		naive, err := join.Multi(join.Exec{Metrics: &m}, rels, join.Hash{}, join.Sequential)
 		if err != nil {
 			return err
 		}

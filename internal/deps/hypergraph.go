@@ -70,7 +70,8 @@ func AcyclicJoin(rels []*relation.Relation) (*relation.Relation, error) {
 	if !join.Acyclic(edges) {
 		return nil, fmt.Errorf("deps: acyclic join requires an acyclic hypergraph (schemes %v)", edges)
 	}
-	return join.Yannakakis{}.JoinAll(rels)
+	out, _, err := join.Yannakakis{}.JoinAll(join.Exec{}, rels)
+	return out, err
 }
 
 // HoldsIn reports whether the relation satisfies the join dependency:

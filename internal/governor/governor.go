@@ -233,7 +233,7 @@ func (g *Governor) Fail(err error) error {
 
 // Tick is the per-tuple cooperative checkpoint: it counts one unit of
 // work and, every CheckEvery-th call, performs the full
-// cancellation/deadline check. Governed loops call it unconditionally —
+// cancellation/deadline check. Tuple loops call it unconditionally —
 // the nil receiver returns nil immediately.
 func (g *Governor) Tick() error {
 	if g == nil {
@@ -337,10 +337,33 @@ func (g *Governor) Admit(predictedPeak, boundedPeak float64) error {
 	if boundedPeak > 0 && boundedPeak <= float64(max) {
 		return nil
 	}
-	return g.fail(fmt.Errorf(
-		"%w: predicted peak intermediate ≈%.0f rows > budget %d (reject before running; override with -admit=false)",
-		ErrAdmission, predictedPeak, max))
+	return g.fail(&AdmissionError{PredictedPeak: predictedPeak, BoundedPeak: boundedPeak, Budget: max})
 }
+
+// AdmissionError is the rejection Admit returns: the numbers the gate
+// compared, so a caller (relqueryd's 429 body) reports them without
+// re-deriving them. It matches errors.Is(err, ErrAdmission); read it
+// with errors.As.
+type AdmissionError struct {
+	// PredictedPeak is the node's predicted peak intermediate.
+	PredictedPeak float64
+	// BoundedPeak is the chosen strategy's own peak bound (0: none).
+	BoundedPeak float64
+	// AGMBound is the rejected node's n-ary AGM bound, filled in by the
+	// caller that knows the node's inputs (0 when not computed).
+	AGMBound float64
+	// Budget is the intermediate-row budget the prediction exceeded.
+	Budget int
+}
+
+// Error implements error.
+func (e *AdmissionError) Error() string {
+	return fmt.Sprintf("%v: predicted peak intermediate ≈%.0f rows > budget %d (reject before running; override with -admit=false)",
+		ErrAdmission, e.PredictedPeak, e.Budget)
+}
+
+// Unwrap exposes ErrAdmission to errors.Is.
+func (e *AdmissionError) Unwrap() error { return ErrAdmission }
 
 // Violation is a governance failure annotated with the partial obs span
 // tree at the time of death, so EXPLAIN ANALYZE can render where the

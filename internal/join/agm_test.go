@@ -124,7 +124,7 @@ func TestAGMBoundDominatesActualJoin(t *testing.T) {
 			}
 			rels[i] = r
 		}
-		out, err := Multi(rels, Hash{}, Greedy, nil)
+		out, err := Multi(Exec{}, rels, Hash{}, Greedy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -128,8 +128,8 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 	}
 	peak := 0.0
 	for len(pending) > 1 {
-		// Mirror pickPairEstimated: prefer shared-attribute pairs, then
-		// the smallest estimated join size.
+		// Prefer shared-attribute pairs, then the smallest estimated
+		// join size.
 		bestI, bestJ := 0, 1
 		bestShared := false
 		bestCost := -1.0
@@ -178,59 +178,4 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 		base[bestI] = mergedBase
 	}
 	return peak, worstPeak
-}
-
-// PlanEstimated orders an n-ary join greedily by ESTIMATED intermediate
-// size (instead of Greedy's actual-size product): repeatedly join the pair
-// with the smallest estimate, preferring pairs that share attributes. It
-// returns the join result; stats (optional) records actual intermediate
-// sizes so callers can compare prediction against reality.
-func PlanEstimated(inputs []*relation.Relation, alg Algorithm, stats *Stats) (*relation.Relation, error) {
-	if len(inputs) == 0 {
-		return Multi(inputs, alg, Greedy, stats) // delegate the error
-	}
-	pending := make([]*relation.Relation, len(inputs))
-	copy(pending, inputs)
-	pstats := make([]ColumnStats, len(inputs))
-	for i, r := range pending {
-		pstats[i] = Analyze(r)
-	}
-	for len(pending) > 1 {
-		bi, bj := pickPairEstimated(pending, pstats)
-		joined, err := alg.Join(pending[bi], pending[bj])
-		if err != nil {
-			return nil, err
-		}
-		stats.observe(joined)
-		pending = append(pending[:bj], pending[bj+1:]...)
-		pstats = append(pstats[:bj], pstats[bj+1:]...)
-		pending[bi] = joined
-		pstats[bi] = Analyze(joined)
-	}
-	return pending[0], nil
-}
-
-// pickPairEstimated chooses the pair with the smallest estimated join
-// size, preferring shared-attribute pairs over cross products.
-func pickPairEstimated(rels []*relation.Relation, stats []ColumnStats) (int, int) {
-	bestI, bestJ := 0, 1
-	bestShared := false
-	bestCost := -1.0
-	for i := 0; i < len(rels); i++ {
-		for j := i + 1; j < len(rels); j++ {
-			shared := !rels[i].Scheme().Disjoint(rels[j].Scheme())
-			cost := EstimateJoinSize(rels[i].Scheme(), stats[i], rels[j].Scheme(), stats[j])
-			better := false
-			switch {
-			case shared && !bestShared:
-				better = true
-			case shared == bestShared && (bestCost < 0 || cost < bestCost):
-				better = true
-			}
-			if better {
-				bestI, bestJ, bestShared, bestCost = i, j, shared, cost
-			}
-		}
-	}
-	return bestI, bestJ
 }

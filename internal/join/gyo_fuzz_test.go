@@ -202,11 +202,11 @@ func FuzzGYO(f *testing.F) {
 		for i, e := range edges {
 			rels[i] = randomRelation(rng, e, 4)
 		}
-		want, err := Multi(rels, Hash{}, Greedy, nil)
+		want, err := Multi(Exec{}, rels, Hash{}, Greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRel, stats, err := Yannakakis{}.JoinAllStats(rels, nil)
+		gotRel, stats, err := Yannakakis{}.JoinAll(Exec{}, rels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func FuzzGYO(f *testing.F) {
 				gotRel.Sorted(), want.Sorted())
 		}
 		if len(edges) > 1 && stats.Acyclic != got {
-			t.Fatalf("JoinAllStats acyclic=%v, GYO said %v", stats.Acyclic, got)
+			t.Fatalf("JoinAll acyclic=%v, GYO said %v", stats.Acyclic, got)
 		}
 
 		if got {

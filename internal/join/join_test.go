@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -91,7 +92,7 @@ func TestAlgorithmsAgreeOnFixedCases(t *testing.T) {
 	}
 	for _, alg := range allAlgorithms(t) {
 		for _, tc := range cases {
-			got, err := alg.Join(tc.l, tc.r)
+			got, err := alg.Join(Exec{}, tc.l, tc.r)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", alg.Name(), tc.name, err)
 			}
@@ -127,12 +128,12 @@ func TestQuickAlgorithmsAgreeWithNestedLoop(t *testing.T) {
 		sc := schemes[int(pick)%len(schemes)]
 		l := randomRelation(rng, sc.l, 12)
 		r := randomRelation(rng, sc.r, 12)
-		ref, err := NestedLoop{}.Join(l, r)
+		ref, err := NestedLoop{}.Join(Exec{}, l, r)
 		if err != nil {
 			return false
 		}
 		for _, alg := range []Algorithm{Hash{}, SortMerge{}} {
-			got, err := alg.Join(l, r)
+			got, err := alg.Join(Exec{}, l, r)
 			if err != nil || !got.Equal(ref) {
 				return false
 			}
@@ -150,11 +151,11 @@ func TestMultiSequentialMatchesGreedy(t *testing.T) {
 		rel(t, "B C", "x p", "y q"),
 		rel(t, "C D", "p 7", "q 8", "q 9"),
 	}
-	seq, err := Multi(chain, Hash{}, Sequential, nil)
+	seq, err := Multi(Exec{}, chain, Hash{}, Sequential)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Multi(chain, Hash{}, Greedy, nil)
+	greedy, err := Multi(Exec{}, chain, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +169,11 @@ func TestMultiSequentialMatchesGreedy(t *testing.T) {
 }
 
 func TestMultiEdgeCases(t *testing.T) {
-	if _, err := Multi(nil, Hash{}, Greedy, nil); err == nil {
+	if _, err := Multi(Exec{}, nil, Hash{}, Greedy); err == nil {
 		t.Error("Multi(nil) succeeded")
 	}
 	one := rel(t, "A", "1")
-	got, err := Multi([]*relation.Relation{one}, Hash{}, Greedy, nil)
+	got, err := Multi(Exec{}, []*relation.Relation{one}, Hash{}, Greedy)
 	if err != nil || !got.Equal(one) {
 		t.Errorf("Multi(single) = %v, %v", got, err)
 	}
@@ -184,25 +185,24 @@ func TestMultiStats(t *testing.T) {
 	center := rel(t, "A B", "1 1", "2 2")
 	satA := rel(t, "A", "1")
 	satB := rel(t, "B", "2")
-	var seqStats, greedyStats Stats
+	var seqM, greedyM obs.Metrics
 	// Sequential order satA * satB first: cross product of satellites.
 	inputs := []*relation.Relation{satA, satB, center}
-	if _, err := Multi(inputs, Hash{}, Sequential, &seqStats); err != nil {
+	if _, err := Multi(Exec{Metrics: &seqM}, inputs, Hash{}, Sequential); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Multi(inputs, Hash{}, Greedy, &greedyStats); err != nil {
+	if _, err := Multi(Exec{Metrics: &greedyM}, inputs, Hash{}, Greedy); err != nil {
 		t.Fatal(err)
 	}
-	seqJoins, seqMax, _ := seqStats.Snapshot()
-	greedyJoins, greedyMax, _ := greedyStats.Snapshot()
-	if seqJoins != 2 || greedyJoins != 2 {
-		t.Errorf("joins: seq=%d greedy=%d", seqJoins, greedyJoins)
+	seq, greedy := seqM.Snapshot(), greedyM.Snapshot()
+	if seq.Joins != 2 || greedy.Joins != 2 {
+		t.Errorf("joins: seq=%d greedy=%d", seq.Joins, greedy.Joins)
 	}
-	if greedyMax > seqMax {
-		t.Errorf("greedy max %d > sequential max %d", greedyMax, seqMax)
+	if greedy.MaxIntermediate > seq.MaxIntermediate {
+		t.Errorf("greedy max %d > sequential max %d", greedy.MaxIntermediate, seq.MaxIntermediate)
 	}
-	if !strings.Contains(seqStats.String(), "max_intermediate=") {
-		t.Errorf("Stats.String = %q", seqStats.String())
+	if !strings.Contains(seq.String(), "max_intermediate=") {
+		t.Errorf("MetricsSnapshot.String = %q", seq.String())
 	}
 }
 
@@ -212,8 +212,8 @@ func TestGreedyPrefersSharedAttributes(t *testing.T) {
 	a := rel(t, "A X", "1 u") // size 1
 	b := rel(t, "B Y", "2 v") // size 1, disjoint from a
 	c := rel(t, "A B", "1 2", "1 3", "9 9")
-	var stats Stats
-	got, err := Multi([]*relation.Relation{a, b, c}, Hash{}, Greedy, &stats)
+	var m obs.Metrics
+	got, err := Multi(Exec{Metrics: &m}, []*relation.Relation{a, b, c}, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +223,8 @@ func TestGreedyPrefersSharedAttributes(t *testing.T) {
 	}
 	// The first join must have been a*c or b*c (shared), both of size <= 2,
 	// so no intermediate exceeds 2.
-	if _, maxI, _ := stats.Snapshot(); maxI > 2 {
-		t.Errorf("greedy performed a cross product first: %v", stats.String())
+	if snap := m.Snapshot(); snap.MaxIntermediate > 2 {
+		t.Errorf("greedy performed a cross product first: %v", snap)
 	}
 }
 

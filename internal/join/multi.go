@@ -3,60 +3,8 @@ package join
 import (
 	"fmt"
 
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
-
-// Stats accumulates execution statistics across a (possibly n-ary) join.
-// Because the paper's hardness proofs all work by making intermediate
-// results explode, MaxIntermediate is the headline number.
-//
-// Stats is now a thin shim over obs.Metrics: every counter lives in the
-// atomic Metrics underneath, so a Stats shared across the parallel
-// evaluator's workers is race-free even when snapshotted mid-run.
-//
-// Deprecated: new code should attach an obs.Collector to the evaluator
-// (or pass an obs.Metrics to a Metered algorithm) instead. obs.Metrics
-// carries the same counters and more (per-algorithm tuple traffic,
-// partition/fallback counts, cache counters). Stats is kept only so
-// pre-obs callers compile unchanged; DESIGN.md ("Machine-checked
-// invariants") schedules its removal, and the deprecatedban analyzer
-// keeps it from gaining new callers in the meantime.
-type Stats struct {
-	m obs.Metrics
-}
-
-func (s *Stats) observe(r *relation.Relation) {
-	if s == nil {
-		return
-	}
-	s.m.ObserveJoin(r.Len())
-}
-
-// Observe records an externally produced intermediate relation (used by the
-// algebra evaluator for projection nodes).
-func (s *Stats) Observe(r *relation.Relation) {
-	if s == nil {
-		return
-	}
-	s.m.ObserveIntermediate(r.Len())
-}
-
-// Snapshot returns a consistent copy of the counters: the number of binary
-// joins performed, the largest cardinality of any relation produced while
-// executing (including the final result), and the total number of tuples
-// across all intermediate results.
-func (s *Stats) Snapshot() (joins, maxIntermediate, intermediateTuples int) {
-	snap := s.m.Snapshot()
-	return int(snap.Joins), int(snap.MaxIntermediate), int(snap.IntermediateTuples)
-}
-
-// String renders the statistics compactly.
-func (s *Stats) String() string {
-	joins, maxI, total := s.Snapshot()
-	return fmt.Sprintf("joins=%d max_intermediate=%d intermediate_tuples=%d",
-		joins, maxI, total)
-}
 
 // Order decides the sequence in which an n-ary join combines its inputs.
 type Order int
@@ -98,53 +46,37 @@ func OrderByName(name string) (Order, error) {
 }
 
 // Multi computes the natural join of all inputs using alg for each binary
-// join, combining in the given order. Stats, when non-nil, accumulates
-// execution statistics. Joining zero relations is an error (the neutral
+// join, combining in the given order, and calls x.Observe on every
+// binary-join result. Joining zero relations is an error (the neutral
 // element — the relation over the empty scheme holding the empty tuple —
 // is almost never what a caller wants); joining one relation returns it
 // unchanged.
-func Multi(inputs []*relation.Relation, alg Algorithm, order Order, stats *Stats) (*relation.Relation, error) {
+func Multi(x Exec, inputs []*relation.Relation, alg Algorithm, order Order) (*relation.Relation, error) {
 	switch len(inputs) {
 	case 0:
 		return nil, fmt.Errorf("join: Multi requires at least one input")
 	case 1:
-		stats.Observe(inputs[0])
 		return inputs[0], nil
 	}
-	switch order {
-	case Sequential:
-		return multiSequential(inputs, alg, stats)
-	case Greedy:
-		return multiGreedy(inputs, alg, stats)
-	default:
+	if order != Sequential && order != Greedy {
 		return nil, fmt.Errorf("join: unknown order %v", order)
 	}
-}
-
-func multiSequential(inputs []*relation.Relation, alg Algorithm, stats *Stats) (*relation.Relation, error) {
-	acc := inputs[0]
-	for _, next := range inputs[1:] {
-		var err error
-		acc, err = alg.Join(acc, next)
-		if err != nil {
-			return nil, err
-		}
-		stats.observe(acc)
-	}
-	return acc, nil
-}
-
-func multiGreedy(inputs []*relation.Relation, alg Algorithm, stats *Stats) (*relation.Relation, error) {
 	pending := make([]*relation.Relation, len(inputs))
 	copy(pending, inputs)
-
 	for len(pending) > 1 {
-		bi, bj := pickPair(pending)
-		joined, err := alg.Join(pending[bi], pending[bj])
+		// Sequential folds left to right as written; Greedy picks the
+		// cheapest pair each step.
+		bi, bj := 0, 1
+		if order == Greedy {
+			bi, bj = pickPair(pending)
+		}
+		joined, err := alg.Join(x, pending[bi], pending[bj])
 		if err != nil {
 			return nil, err
 		}
-		stats.observe(joined)
+		if err := x.Observe(joined); err != nil {
+			return nil, err
+		}
 		// Remove bj first (bj > bi), then replace bi.
 		pending = append(pending[:bj], pending[bj+1:]...)
 		pending[bi] = joined

@@ -30,7 +30,7 @@ func bigRel(seed int64, scheme relation.Scheme, rows, keys int) *relation.Relati
 func TestParallelMatchesHashLarge(t *testing.T) {
 	left := bigRel(1, relation.MustScheme("K", "A"), 600, 37)
 	right := bigRel(2, relation.MustScheme("K", "B"), 800, 37)
-	want, err := Hash{}.Join(left, right)
+	want, err := Hash{}.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestParallelMatchesHashLarge(t *testing.T) {
 		t.Fatalf("workload too small to be meaningful: %d output tuples", want.Len())
 	}
 	for _, workers := range []int{1, 2, 3, 8, 16} {
-		got, err := Parallel{Workers: workers}.Join(left, right)
+		got, err := Parallel{Workers: workers}.Join(Exec{}, left, right)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -58,12 +58,12 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	left := bigRel(3, relation.MustScheme("K", "A"), 700, 23)
 	right := bigRel(4, relation.MustScheme("K", "B"), 700, 23)
 	alg := Parallel{Workers: 8}
-	first, err := alg.Join(left, right)
+	first, err := alg.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 5; run++ {
-		again, err := alg.Join(left, right)
+		again, err := alg.Join(Exec{}, left, right)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +84,11 @@ func TestParallelDeterministicOrder(t *testing.T) {
 func TestParallelCrossProductFallback(t *testing.T) {
 	left := bigRel(5, relation.MustScheme("A", "B"), 300, 300)
 	right := bigRel(6, relation.MustScheme("C", "D"), 30, 30)
-	want, err := Hash{}.Join(left, right)
+	want, err := Hash{}.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parallel{Workers: 4}.Join(left, right)
+	got, err := Parallel{Workers: 4}.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestParallelDuplicateCollapse(t *testing.T) {
 		left.MustAdd(relation.TupleOf(fmt.Sprintf("k%d", i%10), fmt.Sprintf("v%d", i%3)))
 		right.MustAdd(relation.TupleOf(fmt.Sprintf("k%d", i%10), fmt.Sprintf("w%d", i%3)))
 	}
-	want, err := Hash{}.Join(left, right)
+	want, err := Hash{}.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parallel{Workers: 8}.Join(left, right)
+	got, err := Parallel{Workers: 8}.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestParallelDefaultWorkers(t *testing.T) {
 	}
 	left := bigRel(7, relation.MustScheme("K", "A"), 500, 20)
 	right := bigRel(8, relation.MustScheme("K", "B"), 500, 20)
-	want, err := Hash{}.Join(left, right)
+	want, err := Hash{}.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := alg.Join(left, right)
+	got, err := alg.Join(Exec{}, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,25 +149,25 @@ func TestParallelDefaultWorkers(t *testing.T) {
 }
 
 // TestParallelMulti runs the n-ary planner with the parallel algorithm,
-// sharing one Stats across concurrent observation.
+// sharing one Metrics across concurrent observation.
 func TestParallelMulti(t *testing.T) {
 	r1 := bigRel(9, relation.MustScheme("K", "A"), 600, 25)
 	r2 := bigRel(10, relation.MustScheme("K", "B"), 600, 25)
 	r3 := bigRel(11, relation.MustScheme("A", "C"), 600, 600)
 	inputs := []*relation.Relation{r1, r2, r3}
-	want, err := Multi(inputs, Hash{}, Greedy, nil)
+	want, err := Multi(Exec{}, inputs, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
-	got, err := Multi(inputs, Parallel{Workers: 8}, Greedy, &stats)
+	var m obs.Metrics
+	got, err := Multi(Exec{Metrics: &m}, inputs, Parallel{Workers: 8}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Fatal("parallel Multi differs from sequential")
 	}
-	if joins, _, _ := stats.Snapshot(); joins != 2 {
+	if joins := m.Snapshot().Joins; joins != 2 {
 		t.Fatalf("joins = %d, want 2", joins)
 	}
 }
@@ -183,12 +183,12 @@ func TestParallelFewerProbeRowsThanWorkers(t *testing.T) {
 
 	t.Run("sequential fallback", func(t *testing.T) {
 		build := rel(t, "K B", "k0 b0", "k1 b1", "k2 b2", "k3 b3")
-		want, err := Hash{}.Join(build, probe)
+		want, err := Hash{}.Join(Exec{}, build, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var m obs.Metrics
-		got, err := Parallel{Workers: 8, Metrics: &m}.Join(build, probe)
+		got, err := Parallel{Workers: 8}.Join(Exec{Metrics: &m}, build, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,12 +212,12 @@ func TestParallelFewerProbeRowsThanWorkers(t *testing.T) {
 		// assigns trailing workers empty ranges, which must be skipped,
 		// not merged as empty slots.
 		build := bigRel(13, relation.MustScheme("K", "B"), 400, 3)
-		want, err := Hash{}.Join(build, probe)
+		want, err := Hash{}.Join(Exec{}, build, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var m obs.Metrics
-		got, err := Parallel{Workers: 512, Metrics: &m}.Join(build, probe)
+		got, err := Parallel{Workers: 512}.Join(Exec{Metrics: &m}, build, probe)
 		if err != nil {
 			t.Fatal(err)
 		}

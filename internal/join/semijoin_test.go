@@ -29,17 +29,17 @@ func TestSemijoinBasics(t *testing.T) {
 	}
 }
 
-func TestReduceFixpointChain(t *testing.T) {
+func TestFullReduceChain(t *testing.T) {
 	// A broken chain: the middle relation's values never reach the last.
 	r1 := rel(t, "A B", "1 x", "2 y")
 	r2 := rel(t, "B C", "x p", "y q")
 	r3 := rel(t, "C D") // empty: everything must reduce away
-	reduced, passes, err := ReduceFixpoint([]*relation.Relation{r1, r2, r3})
+	reduced, semijoins, err := FullReduce([]*relation.Relation{r1, r2, r3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if passes < 1 {
-		t.Errorf("passes = %d", passes)
+	if semijoins != 4 {
+		t.Errorf("semijoins = %d, want 2·(edges−1) = 4", semijoins)
 	}
 	for i, r := range reduced {
 		if r.Len() != 0 {
@@ -48,26 +48,36 @@ func TestReduceFixpointChain(t *testing.T) {
 	}
 	// Inputs untouched.
 	if r1.Len() != 2 || r2.Len() != 2 {
-		t.Error("ReduceFixpoint mutated its inputs")
+		t.Error("FullReduce mutated its inputs")
 	}
 }
 
-func TestQuickReduceFixpointPreservesJoin(t *testing.T) {
+// TestQuickSemijoinPreservesJoin checks semijoin soundness on a cyclic
+// join, where no full reducer exists: one pairwise pass (each relation
+// against each other) never removes a tuple that reaches the output.
+func TestQuickSemijoinPreservesJoin(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r1 := randomRelation(rng, relation.MustScheme("A", "B"), 10)
 		r2 := randomRelation(rng, relation.MustScheme("B", "C"), 10)
 		r3 := randomRelation(rng, relation.MustScheme("A", "C"), 10) // cyclic!
 		rels := []*relation.Relation{r1, r2, r3}
-		want, err := Multi(rels, Hash{}, Greedy, nil)
+		want, err := Multi(Exec{}, rels, Hash{}, Greedy)
 		if err != nil {
 			return false
 		}
-		reduced, _, err := ReduceFixpoint(rels)
-		if err != nil {
-			return false
+		reduced := append([]*relation.Relation(nil), rels...)
+		for i := range reduced {
+			for j := range rels {
+				if i == j {
+					continue
+				}
+				if reduced[i], err = Semijoin(reduced[i], reduced[j]); err != nil {
+					return false
+				}
+			}
 		}
-		got, err := Multi(reduced, Hash{}, Greedy, nil)
+		got, err := Multi(Exec{}, reduced, Hash{}, Greedy)
 		if err != nil {
 			return false
 		}

@@ -6,7 +6,6 @@ import (
 
 	"relquery/internal/fault"
 	"relquery/internal/governor"
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -33,17 +32,14 @@ import (
 // relation, and intersecting a new attribute is a walk over the distinct
 // values of the smallest range with binary-search narrowing in the
 // others.
-type Generic struct {
-	// Metrics, when non-nil, receives per-join counters: built counts the
-	// rows indexed into sorted tries, probed counts candidate values
-	// examined, and the wcoj-specific candidate/intersection counters.
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is ticked during trie construction and once per
-	// candidate value of the binding search, with a row-budget check as
-	// output bindings accumulate, so even a search that stays under the
-	// AGM bound dies promptly on cancel or budget violation.
-	Gov *governor.Governor
-}
+//
+// It counts the rows indexed into tries as built and the candidate
+// values examined as probed, next to its own candidate/intersection
+// counters. The governor is ticked during trie construction and once per
+// candidate value, with a row-budget check as output bindings
+// accumulate, so even a search that stays under the AGM bound dies
+// promptly on cancel or budget violation.
+type Generic struct{}
 
 // GenericStats reports one generic join's search effort.
 type GenericStats struct {
@@ -59,34 +55,19 @@ type GenericStats struct {
 // Name implements Algorithm.
 func (Generic) Name() string { return "wcoj" }
 
-// WithMetrics implements Metered.
-func (g Generic) WithMetrics(m *obs.Metrics) Algorithm {
-	g.Metrics = m
-	return g
-}
-
-// WithGovernor implements Governed.
-func (g Generic) WithGovernor(gov *governor.Governor) Algorithm {
-	g.Gov = gov
-	return g
-}
-
 // Join implements Algorithm; a binary generic join is simply the two-input
 // case of JoinAll.
-func (g Generic) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	return g.JoinAll([]*relation.Relation{l, r})
-}
-
-// JoinAll implements MultiAlgorithm.
-func (g Generic) JoinAll(inputs []*relation.Relation) (*relation.Relation, error) {
-	out, _, err := g.JoinAllStats(inputs)
+func (g Generic) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
+	out, _, err := g.JoinAll(x, []*relation.Relation{l, r})
 	return out, err
 }
 
-// JoinAllStats is JoinAll returning the search-effort counters, for trace
-// spans. Like Multi, joining zero relations is an error and a single
+// JoinAll returns the natural join of all inputs in one
+// attribute-at-a-time pass, with the search-effort counters for trace
+// spans. Its only materialization is the result, which the caller
+// observes. Like Multi, joining zero relations is an error and a single
 // relation passes through unchanged.
-func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, GenericStats, error) {
+func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, GenericStats, error) {
 	fault.Hit(fault.JoinStart)
 	switch len(inputs) {
 	case 0:
@@ -105,7 +86,7 @@ func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, 
 			if err != nil {
 				return nil, GenericStats{}, err
 			}
-			g.Metrics.ObserveJoin(0)
+			x.Metrics.ObserveJoin(0)
 			return empty, GenericStats{}, nil
 		}
 	}
@@ -114,7 +95,7 @@ func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, 
 	tries := make([]*sortedTrie, len(inputs))
 	indexed := 0
 	for i, r := range inputs {
-		t, err := newSortedTrie(r, order, g.Gov)
+		t, err := newSortedTrie(r, order, x.Gov)
 		if err != nil {
 			return nil, GenericStats{}, err
 		}
@@ -122,7 +103,7 @@ func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, 
 		indexed += r.Len()
 	}
 	j := newGenericJoin(outScheme, order, tries)
-	j.gov = g.Gov
+	j.gov = x.Gov
 	j.search(0)
 	if j.err != nil {
 		return nil, GenericStats{}, j.err
@@ -135,9 +116,9 @@ func (g Generic) JoinAllStats(inputs []*relation.Relation) (*relation.Relation, 
 		return nil, GenericStats{}, err
 	}
 	gs := GenericStats{Candidates: j.candidates, Intersections: j.intersections}
-	g.Metrics.JoinWork(indexed, j.candidates, out.Len())
-	g.Metrics.ObserveJoin(out.Len())
-	g.Metrics.WCOJ(gs.Candidates, gs.Intersections)
+	x.Metrics.JoinWork(indexed, j.candidates, out.Len())
+	x.Metrics.ObserveJoin(out.Len())
+	x.Metrics.WCOJ(gs.Candidates, gs.Intersections)
 	return out, gs, nil
 }
 
@@ -380,8 +361,4 @@ func upperBound(rows [][]relation.Value, lo, hi, d int, v relation.Value) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return rows[lo+i][d] > v })
 }
 
-var (
-	_ Algorithm      = Generic{}
-	_ Metered        = Generic{}
-	_ MultiAlgorithm = Generic{}
-)
+var _ Algorithm = Generic{}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"relquery/internal/fault"
-	"relquery/internal/governor"
-	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
 
@@ -27,21 +25,17 @@ import (
 // the tree joins never outgrow the output.
 //
 // On a cyclic hypergraph the algorithm does not apply; JoinAll then
-// falls back to the greedy binary plan over semijoin-reduced pairwise
-// joins (sound for any join), so the type is safe to force on arbitrary
-// queries via -join=yannakakis. The algebra evaluator detects the cyclic
-// case up front and routes it through its normal binary path instead, so
-// budgets and span accounting stay uniform.
-type Yannakakis struct {
-	// Metrics, when non-nil, receives per-join counters: each semijoin
-	// pass's output cardinality, the tree joins' tuple traffic (via the
-	// inner hash join), and the per-evaluation yannakakis counters.
-	Metrics *obs.Metrics
-	// Gov, when non-nil, is ticked inside every semijoin sweep and every
-	// tree join (via the governed inner hash join), so both full-reducer
-	// passes and the final joins abort at tuple granularity.
-	Gov *governor.Governor
-}
+// falls back to the greedy binary plan (Multi over hash joins), so the
+// type is safe to force on arbitrary queries via -join=yannakakis. The
+// algebra evaluator detects the cyclic case up front and routes it
+// through its normal binary path instead, where every binary step is a
+// pairwise-reduced Join.
+//
+// Every semijoin pass is counted into the metrics with its output
+// cardinality, and the governor is ticked inside every semijoin sweep
+// and every tree join, so both full-reducer passes and the final joins
+// abort at tuple granularity.
+type Yannakakis struct{}
 
 // YannakakisStats reports one acyclic join's full-reducer effort.
 type YannakakisStats struct {
@@ -62,40 +56,30 @@ type YannakakisStats struct {
 // Name implements Algorithm.
 func (Yannakakis) Name() string { return "yannakakis" }
 
-// WithMetrics implements Metered.
-func (y Yannakakis) WithMetrics(m *obs.Metrics) Algorithm {
-	y.Metrics = m
-	return y
-}
-
-// WithGovernor implements Governed.
-func (y Yannakakis) WithGovernor(g *governor.Governor) Algorithm {
-	y.Gov = g
-	return y
-}
-
 // Join implements Algorithm; two relations are always α-acyclic, so a
 // binary Yannakakis join is a pairwise full reduction (one semijoin each
-// way) followed by a hash join of the reduced sides.
-func (y Yannakakis) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	return y.JoinAll([]*relation.Relation{l, r})
-}
-
-// JoinAll implements MultiAlgorithm.
-func (y Yannakakis) JoinAll(inputs []*relation.Relation) (*relation.Relation, error) {
-	out, _, err := y.JoinAllStats(inputs, nil)
+// way) followed by a hash join of the reduced sides. Like every binary
+// join it observes nothing: the n-ary caller observes the result.
+func (y Yannakakis) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
+	out, _, err := y.join(x, []*relation.Relation{l, r}, false)
 	return out, err
 }
 
-// JoinAllStats is JoinAll returning the full-reducer counters for trace
-// spans. observe, when non-nil, is called with every relation the
-// algorithm materializes — each semijoin result and each join along the
-// tree — and a non-nil return aborts evaluation (the evaluator's budget
-// and peak-tracking hook). Like Multi, joining zero relations is an
-// error and a single relation passes through unchanged.
-func (y Yannakakis) JoinAllStats(inputs []*relation.Relation, observe func(*relation.Relation) error) (*relation.Relation, YannakakisStats, error) {
+// JoinAll returns the natural join of all inputs with the full-reducer
+// counters for trace spans. It calls x.Observe on every relation it
+// materializes — each semijoin result and each join along the tree — so
+// the span's peak and the governor's budgets see the whole reduction.
+// Like Multi, joining zero relations is an error and a single relation
+// passes through unchanged.
+func (y Yannakakis) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, YannakakisStats, error) {
+	return y.join(x, inputs, true)
+}
+
+// join is JoinAll with observation switchable: the binary Join runs the
+// same reduction without observing its internal steps.
+func (Yannakakis) join(x Exec, inputs []*relation.Relation, observe bool) (*relation.Relation, YannakakisStats, error) {
 	fault.Hit(fault.JoinStart)
-	if err := y.Gov.Check(); err != nil {
+	if err := x.Gov.Check(); err != nil {
 		return nil, YannakakisStats{}, err
 	}
 	switch len(inputs) {
@@ -111,18 +95,15 @@ func (y Yannakakis) JoinAllStats(inputs []*relation.Relation, observe func(*rela
 	tree, ok := JoinTreeOf(SchemesOf(inputs))
 	if !ok {
 		// Cyclic: no join tree exists. Fall back to the greedy binary
-		// plan with pairwise-reduced joins — sound for any join, just
-		// without the acyclic output-boundedness guarantee.
-		var alg Algorithm = Hash{Metrics: y.Metrics, Gov: y.Gov}
-		if observe != nil {
-			alg = observedAlgorithm{inner: alg, observe: observe}
-		}
-		out, err := Multi(inputs, alg, Greedy, nil)
+		// plan — sound for any join, just without the acyclic
+		// output-boundedness guarantee. (Two inputs are never cyclic, so
+		// the binary Join cannot get here.)
+		out, err := Multi(x, inputs, Hash{}, Greedy)
 		return out, stats, err
 	}
 	stats.Acyclic = true
 
-	reduced, semijoins, err := y.fullReduce(inputs, tree, observe)
+	reduced, semijoins, err := fullReduce(x, inputs, tree, observe)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -134,7 +115,6 @@ func (y Yannakakis) JoinAllStats(inputs []*relation.Relation, observe func(*rela
 	// Join children into parents along the tree, leaves first: with the
 	// relations fully reduced, every intermediate tuple extends to an
 	// output tuple, so no step outgrows the output.
-	alg := Hash{Metrics: y.Metrics, Gov: y.Gov}
 	acc := make([]*relation.Relation, len(reduced))
 	copy(acc, reduced)
 	for _, i := range tree.Order {
@@ -142,12 +122,12 @@ func (y Yannakakis) JoinAllStats(inputs []*relation.Relation, observe func(*rela
 		if p < 0 {
 			continue
 		}
-		joined, err := alg.Join(acc[p], acc[i])
+		joined, err := Hash{}.Join(x, acc[p], acc[i])
 		if err != nil {
 			return nil, stats, err
 		}
-		if observe != nil {
-			if err := observe(joined); err != nil {
+		if observe {
+			if err := x.Observe(joined); err != nil {
 				return nil, stats, err
 			}
 		}
@@ -157,7 +137,7 @@ func (y Yannakakis) JoinAllStats(inputs []*relation.Relation, observe func(*rela
 	if root < 0 {
 		return nil, stats, fmt.Errorf("join: internal error: join tree has no root")
 	}
-	y.Metrics.Yannakakis()
+	x.Metrics.Yannakakis()
 	return acc[root], stats, nil
 }
 
@@ -165,20 +145,21 @@ func (y Yannakakis) JoinAllStats(inputs []*relation.Relation, observe func(*rela
 // root (parent ⋉ child, in ear-removal order), then root to leaf (child
 // ⋉ parent, reversed). After both sweeps the relations are globally
 // consistent: every remaining tuple participates in at least one output
-// tuple. observe (optional) sees every semijoin result.
-func (y Yannakakis) fullReduce(rels []*relation.Relation, tree *JoinTree, observe func(*relation.Relation) error) ([]*relation.Relation, int, error) {
+// tuple. With observe set, every semijoin result passes through
+// x.Observe.
+func fullReduce(x Exec, rels []*relation.Relation, tree *JoinTree, observe bool) ([]*relation.Relation, int, error) {
 	out := make([]*relation.Relation, len(rels))
 	copy(out, rels)
 	semijoins := 0
 	reduce := func(dst, src int) error {
-		reduced, err := SemijoinWith(out[dst], out[src], y.Gov)
+		reduced, err := SemijoinWith(out[dst], out[src], x.Gov)
 		if err != nil {
 			return err
 		}
 		semijoins++
-		y.Metrics.Semijoin(reduced.Len())
-		if observe != nil {
-			if err := observe(reduced); err != nil {
+		x.Metrics.Semijoin(reduced.Len())
+		if observe {
+			if err := x.Observe(reduced); err != nil {
 				return err
 			}
 		}
@@ -206,39 +187,14 @@ func (y Yannakakis) fullReduce(rels []*relation.Relation, tree *JoinTree, observ
 // FullReduce runs Yannakakis' full reducer over an acyclic join and
 // returns the reduced relations together with the number of semijoins
 // performed. It reports an error when the relations' scheme hypergraph
-// is cyclic — pairwise reduction to fixpoint (ReduceFixpoint) is the
-// sound-but-incomplete alternative there.
+// is cyclic: no semijoin program removes every dangling tuple there.
 func FullReduce(rels []*relation.Relation) ([]*relation.Relation, int, error) {
 	edges := SchemesOf(rels)
 	tree, ok := JoinTreeOf(edges)
 	if !ok {
 		return nil, 0, fmt.Errorf("join: full reduction requires an acyclic join (schemes %v)", edges)
 	}
-	return Yannakakis{}.fullReduce(rels, tree, nil)
+	return fullReduce(Exec{}, rels, tree, false)
 }
 
-// observedAlgorithm wraps an Algorithm and reports every join output to
-// an observe hook, aborting when the hook errors.
-type observedAlgorithm struct {
-	inner   Algorithm
-	observe func(*relation.Relation) error
-}
-
-func (o observedAlgorithm) Name() string { return o.inner.Name() }
-
-func (o observedAlgorithm) Join(l, r *relation.Relation) (*relation.Relation, error) {
-	out, err := o.inner.Join(l, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := o.observe(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-var (
-	_ Algorithm      = Yannakakis{}
-	_ Metered        = Yannakakis{}
-	_ MultiAlgorithm = Yannakakis{}
-)
+var _ Algorithm = Yannakakis{}

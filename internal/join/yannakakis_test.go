@@ -1,9 +1,11 @@
 package join
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"relquery/internal/governor"
 	"relquery/internal/obs"
 	"relquery/internal/relation"
 )
@@ -15,7 +17,7 @@ func TestYannakakisChainWithDanglingTuples(t *testing.T) {
 	r2 := rel(t, "B C", "x p", "dead2 q")
 	r3 := rel(t, "C D", "p 7", "q 8")
 	m := &obs.Metrics{}
-	out, stats, err := Yannakakis{Metrics: m}.JoinAllStats([]*relation.Relation{r1, r2, r3}, nil)
+	out, stats, err := Yannakakis{}.JoinAll(Exec{Metrics: m}, []*relation.Relation{r1, r2, r3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestYannakakisChainWithDanglingTuples(t *testing.T) {
 	}
 	// Inputs untouched.
 	if r1.Len() != 2 || r2.Len() != 2 || r3.Len() != 2 {
-		t.Error("JoinAllStats mutated its inputs")
+		t.Error("JoinAll mutated its inputs")
 	}
 }
 
@@ -45,11 +47,11 @@ func TestYannakakisCyclicFallback(t *testing.T) {
 	r1 := rel(t, "A B", "1 2", "2 3")
 	r2 := rel(t, "B C", "2 3", "3 1")
 	r3 := rel(t, "A C", "1 3", "2 1")
-	want, err := Multi([]*relation.Relation{r1, r2, r3}, Hash{}, Greedy, nil)
+	want, err := Multi(Exec{}, []*relation.Relation{r1, r2, r3}, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Yannakakis{}.JoinAllStats([]*relation.Relation{r1, r2, r3}, nil)
+	out, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1, r2, r3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +66,21 @@ func TestYannakakisCyclicFallback(t *testing.T) {
 func TestYannakakisBinaryAndSingle(t *testing.T) {
 	r1 := rel(t, "A B", "1 x", "2 y")
 	r2 := rel(t, "B C", "x p")
-	out, err := Yannakakis{}.Join(r1, r2)
+	out, err := Yannakakis{}.Join(Exec{}, r1, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(rel(t, "A B C", "1 x p")) {
 		t.Errorf("binary join = %v", out.Sorted())
 	}
-	single, stats, err := Yannakakis{}.JoinAllStats([]*relation.Relation{r1}, nil)
+	single, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1})
 	if err != nil || single != r1 {
 		t.Errorf("single input: %v, %v", single, err)
 	}
 	if !stats.Acyclic || stats.InputRows != 2 || stats.ReducedRows != 2 {
 		t.Errorf("single-input stats = %+v", stats)
 	}
-	if _, err := (Yannakakis{}).JoinAll(nil); err == nil {
+	if _, _, err := (Yannakakis{}).JoinAll(Exec{}, nil); err == nil {
 		t.Error("zero inputs accepted")
 	}
 }
@@ -90,11 +92,11 @@ func TestYannakakisDisconnectedComponents(t *testing.T) {
 	r1 := rel(t, "A B", "1 x", "2 dead")
 	r2 := rel(t, "B C", "x p")
 	r3 := rel(t, "D", "d1", "d2")
-	want, err := Multi([]*relation.Relation{r1, r2, r3}, Hash{}, Greedy, nil)
+	want, err := Multi(Exec{}, []*relation.Relation{r1, r2, r3}, Hash{}, Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Yannakakis{}.JoinAllStats([]*relation.Relation{r1, r2, r3}, nil)
+	out, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1, r2, r3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestYannakakisEmptyRelationEmptiesJoin(t *testing.T) {
 	r1 := rel(t, "A B", "1 x")
 	r2 := rel(t, "B C") // empty
 	r3 := rel(t, "C D", "p 7")
-	out, stats, err := Yannakakis{}.JoinAllStats([]*relation.Relation{r1, r2, r3}, nil)
+	out, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1, r2, r3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +131,11 @@ func TestYannakakisObserveAborts(t *testing.T) {
 	r1 := rel(t, "A B", "1 x", "2 y")
 	r2 := rel(t, "B C", "x p", "y q")
 	r3 := rel(t, "C D", "p 7", "q 8")
-	boom := errors.New("budget")
-	_, _, err := Yannakakis{}.JoinAllStats([]*relation.Relation{r1, r2, r3}, func(*relation.Relation) error {
-		return boom
-	})
-	if !errors.Is(err, boom) {
+	// The first semijoin result already overdraws a one-byte memory
+	// budget: Observe's charge must abort the reduction.
+	x := Exec{Gov: governor.New(context.Background(), governor.Limits{MaxMemoryBytes: 1})}
+	_, _, err := Yannakakis{}.JoinAll(x, []*relation.Relation{r1, r2, r3})
+	if !errors.Is(err, governor.ErrMemBudget) {
 		t.Errorf("observe error not propagated: %v", err)
 	}
 }

@@ -34,8 +34,8 @@ import (
 
 // Metrics accumulates evaluation-wide counters. All updates are atomic, so
 // one Metrics can be shared by the parallel evaluator's workers and — the
-// fix over the old mutex-plus-exported-fields join.Stats — snapshotted
-// race-free while evaluation is still running.
+// fix over the old mutex-plus-exported-fields join statistics —
+// snapshotted race-free while evaluation is still running.
 //
 // All methods are nil-safe no-ops, per the package's zero-overhead
 // contract.
@@ -333,8 +333,8 @@ type MetricsSnapshot struct {
 	// YannakakisJoins counts n-ary joins evaluated by the Yannakakis
 	// full reducer over an acyclic join tree.
 	YannakakisJoins int64 `json:"yannakakis_joins"`
-	// Semijoins counts semijoin passes (full-reducer sweeps and the
-	// pairwise fixpoint prefilter).
+	// Semijoins counts semijoin passes: the full reducer's sweeps,
+	// including the pairwise reduction inside a binary Yannakakis join.
 	Semijoins int64 `json:"semijoins"`
 	// SemijoinRows totals the output cardinalities of all semijoin
 	// passes — the per-pass cardinality trail of the full reducer.

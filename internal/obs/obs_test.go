@@ -148,7 +148,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				_ = m.Snapshot() // mid-run snapshot, the old join.Stats race
+				_ = m.Snapshot() // mid-run snapshot, the race the old mutex-based join statistics had
 			}
 		}
 	}()

@@ -169,7 +169,8 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	defer s.metrics.inflight.Add(-1)
 
 	collector := &obs.Collector{}
-	ev := algebra.EvalOptions{
+	ev := &algebra.Evaluator{
+		Order:          q.order,
 		Parallelism:    s.cfg.Parallelism,
 		Cache:          true,
 		SharedCache:    s.shared,
@@ -179,8 +180,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 		Registry:       s.reg,
 		Limits:         limits,
 		Admit:          true,
-	}.NewEvaluator()
-	ev.Order = q.order
+	}
 	if q.strategy != "auto" {
 		alg, err := join.ByName(q.strategy)
 		if err != nil {
@@ -247,17 +247,27 @@ func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr
 	if err == nil {
 		return false
 	}
-	s.metrics.admissionRejects.Add(1)
+	var ae *governor.AdmissionError
+	if errors.As(err, &ae) {
+		ae.AGMBound = agm
+	}
 	s.metrics.evalDone(t.name)
 	s.reg.Observe(collector.Trace(), time.Since(start))
-	writeJSON(w, http.StatusTooManyRequests, admissionReject{
-		Error:         err.Error(),
-		Tenant:        t.name,
-		PredictedPeak: predicted,
-		AGMBound:      agm,
-		Budget:        budget,
-	})
+	s.rejectAdmission(w, t, err)
 	return true
+}
+
+// rejectAdmission writes the 429 body for an admission rejection from
+// either gate, taking the numbers from the typed
+// *governor.AdmissionError in err's chain.
+func (s *Server) rejectAdmission(w http.ResponseWriter, t *tenant, err error) {
+	s.metrics.admissionRejects.Add(1)
+	body := admissionReject{Error: err.Error(), Tenant: t.name, Budget: t.limits.MaxIntermediateRows}
+	var ae *governor.AdmissionError
+	if errors.As(err, &ae) {
+		body.PredictedPeak, body.AGMBound, body.Budget = ae.PredictedPeak, ae.AGMBound, ae.Budget
+	}
+	writeJSON(w, http.StatusTooManyRequests, body)
 }
 
 // writeEvalError maps a failed evaluation to a status code: governor
@@ -267,12 +277,7 @@ func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr
 func (s *Server) writeEvalError(w http.ResponseWriter, q *queryRequest, t *tenant, err error) {
 	switch {
 	case errors.Is(err, governor.ErrAdmission):
-		s.metrics.admissionRejects.Add(1)
-		writeJSON(w, http.StatusTooManyRequests, admissionReject{
-			Error:  err.Error(),
-			Tenant: t.name,
-			Budget: t.limits.MaxIntermediateRows,
-		})
+		s.rejectAdmission(w, t, err)
 	case errors.Is(err, governor.ErrDeadline):
 		writeError(w, http.StatusGatewayTimeout, "%v", err)
 	case errors.Is(err, governor.ErrRowBudget), errors.Is(err, governor.ErrMemBudget):

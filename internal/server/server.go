@@ -53,7 +53,7 @@ type Config struct {
 	// listed here are created on first use with DefaultLimits.
 	Tenants map[string]governor.Limits
 	// Parallelism is the per-evaluation worker count handed to the
-	// parallel engine (algebra.EvalOptions.Parallelism); <= 1 evaluates
+	// parallel engine (algebra.Evaluator.Parallelism); <= 1 evaluates
 	// sequentially.
 	Parallelism int
 	// MaxConcurrent bounds concurrently executing evaluations across all

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +124,47 @@ func TestTwoTenantAdmission(t *testing.T) {
 	}
 	if !strings.Contains(reject.Error, "predicted peak") {
 		t.Errorf("429 error %q does not mention the predicted peak", reject.Error)
+	}
+}
+
+// TestSingleOperandAdmissionReportsNumbers is the 429 regression for
+// the paper's own query shape: every operand is a projection of one
+// relation, so the server's pre-flight gate sees a single base relation
+// and admits, and the engine's per-node gate rejects. The 429 body must
+// still carry the rejected node's numbers, not zeros.
+func TestSingleOperandAdmissionReportsNumbers(t *testing.T) {
+	// The chain data folded into one relation T(A,B,C,D) = R1 ∗ R2 ∗ R3.
+	folded := relation.New(relation.MustScheme("A", "B", "C", "D"))
+	for i := 0; i < 600; i++ {
+		for j := i % 20; j < 400; j += 20 {
+			folded.MustAdd(relation.TupleOf(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i%20), fmt.Sprintf("c%d", j), fmt.Sprintf("d%d", j)))
+		}
+	}
+	s := New(Config{Tenants: map[string]governor.Limits{"tight": {MaxIntermediateRows: 2_000}}})
+	s.Load("tight", relation.Database{"T": folded})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	resp := postQuery(t, ts, "tight", "pi[A B](T) * pi[B C](T) * pi[C D](T)", "strategy=hash")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429; body: %s", resp.StatusCode, readBody(t, resp))
+	}
+	var reject admissionReject
+	if err := json.NewDecoder(resp.Body).Decode(&reject); err != nil {
+		t.Fatalf("decoding 429 body: %v", err)
+	}
+	m := regexp.MustCompile(`≈(\d+) rows`).FindStringSubmatch(reject.Error)
+	if m == nil {
+		t.Fatalf("429 error %q carries no predicted peak", reject.Error)
+	}
+	if got := fmt.Sprintf("%.0f", reject.PredictedPeak); got != m[1] {
+		t.Errorf("429 predicted_peak_rows = %s, error text says ≈%s", got, m[1])
+	}
+	if reject.AGMBound <= 0 {
+		t.Errorf("429 agm_bound_rows = %v, want > 0", reject.AGMBound)
+	}
+	if reject.Budget != 2_000 {
+		t.Errorf("429 budget = %d, want 2000", reject.Budget)
 	}
 }
 

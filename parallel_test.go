@@ -71,8 +71,7 @@ func TestLemma1ParallelEngineIdentical(t *testing.T) {
 			wantRender := relation.RenderSorted(want)
 
 			for _, par := range []int{1, 2, 8} {
-				ev := algebra.EvalOptions{Parallelism: par, Cache: true}.NewEvaluator()
-				ev.Order = join.Greedy
+				ev := algebra.Evaluator{Order: join.Greedy, Parallelism: par, Cache: true}
 				got, err := ev.Eval(phi, db)
 				if err != nil {
 					t.Fatalf("parallelism %d: %v", par, err)
@@ -103,11 +102,11 @@ func TestLemma1ParallelJoinIdentical(t *testing.T) {
 				accSeq, accPar := legs[0], legs[0]
 				for i, leg := range legs[1:] {
 					var err error
-					accSeq, err = (join.Hash{}).Join(accSeq, leg)
+					accSeq, err = (join.Hash{}).Join(join.Exec{}, accSeq, leg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					accPar, err = par.Join(accPar, leg)
+					accPar, err = par.Join(join.Exec{}, accPar, leg)
 					if err != nil {
 						t.Fatal(err)
 					}
