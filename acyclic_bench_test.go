@@ -90,7 +90,7 @@ func BenchmarkFullReducerDirect(b *testing.B) {
 	b.Run("yannakakis", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := (join.Yannakakis{}).JoinAll(join.Exec{}, rels); err != nil {
+			if _, _, err := (join.Yannakakis{}).JoinAll(join.Exec{}, join.NewPlan(rels)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -105,9 +105,11 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// parseFile reads Go benchmark output and returns, per benchmark name
-// (iteration-count suffix stripped is not needed — names are the first
-// field), the map of metric unit → value.
+// parseFile reads Go benchmark output and returns, per benchmark name,
+// the map of metric unit → value. go test appends "-N" (GOMAXPROCS) to
+// every benchmark name when N > 1, so a trailing "-N" is stripped only
+// when every benchmark line carries the same one: a file recorded at
+// GOMAXPROCS=1 keeps names such as parallel-1 and parallel-8 apart.
 func parseFile(path string) (map[string]map[string]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -115,29 +117,45 @@ func parseFile(path string) (map[string]map[string]float64, error) {
 	}
 	defer f.Close()
 	out := map[string]map[string]float64{}
+	suffix := "" // the "-N" every name so far carries, or ""
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		name, metrics, ok := parseLine(sc.Text())
 		if !ok {
 			continue
 		}
+		if s := cpuSuffix(name); len(out) == 0 {
+			suffix = s
+		} else if s != suffix {
+			suffix = ""
+		}
 		out[name] = metrics
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil || suffix == "" {
+		return out, err
+	}
+	stripped := make(map[string]map[string]float64, len(out))
+	for name, metrics := range out {
+		stripped[strings.TrimSuffix(name, suffix)] = metrics
+	}
+	return stripped, nil
+}
+
+// cpuSuffix returns name's trailing "-N" with N a number, or "".
+func cpuSuffix(name string) string {
+	i := strings.LastIndex(name, "-")
+	if _, err := strconv.Atoi(name[i+1:]); i <= 0 || err != nil {
+		return ""
+	}
+	return name[i:]
 }
 
 // parseLine decodes one "BenchmarkX-8  10  123 ns/op  257.0 peak_rows"
-// line into its name (CPU suffix stripped) and unit → value map.
+// line into its name (as printed, suffix included) and unit → value map.
 func parseLine(line string) (string, map[string]float64, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return "", nil, false
-	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
 	}
 	metrics := map[string]float64{}
 	// fields[1] is the iteration count; then value/unit pairs follow.
@@ -151,7 +169,7 @@ func parseLine(line string) (string, map[string]float64, bool) {
 	if len(metrics) == 0 {
 		return "", nil, false
 	}
-	return name, metrics, true
+	return fields[0], metrics, true
 }
 
 func sortedNames(m map[string]map[string]float64) []string {

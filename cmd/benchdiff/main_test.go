@@ -30,8 +30,8 @@ func TestParseLine(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark line not recognized")
 	}
-	if name != "BenchmarkX/a/b" {
-		t.Errorf("name = %q, want CPU suffix stripped", name)
+	if name != "BenchmarkX/a/b-16" {
+		t.Errorf("name = %q, want the name as printed", name)
 	}
 	if metrics["peak_rows"] != 257 || metrics["agm_bound"] != 289 || metrics["ns/op"] != 123 {
 		t.Errorf("metrics = %v", metrics)
@@ -40,6 +40,45 @@ func TestParseLine(t *testing.T) {
 		if _, _, ok := parseLine(bad); ok {
 			t.Errorf("non-benchmark line %q parsed", bad)
 		}
+	}
+}
+
+// TestParseFileSuffixes covers both shapes of go test output: at
+// GOMAXPROCS=N > 1 every name carries the same "-N", which is stripped;
+// at GOMAXPROCS=1 there is no suffix, so a name's own trailing number
+// (parallel-1, parallel-8) is kept.
+func TestParseFileSuffixes(t *testing.T) {
+	const gomaxprocs1 = `
+BenchmarkE9ParallelEval/xorchain2/sequential    10  13206587 ns/op  74548 allocs/op
+BenchmarkE9ParallelEval/xorchain2/parallel-1    10  13124424 ns/op  74548 allocs/op
+BenchmarkE9ParallelEval/xorchain2/parallel-8    10  12547665 ns/op  51273 allocs/op
+`
+	cases := []struct {
+		name, content string
+		want          []string
+	}{
+		{"gomaxprocs-8", baseBench, []string{"BenchmarkAcyclicYannakakis/path/auto", "BenchmarkAcyclicYannakakis/path/greedy"}},
+		{"gomaxprocs-1", gomaxprocs1, []string{
+			"BenchmarkE9ParallelEval/xorchain2/parallel-1",
+			"BenchmarkE9ParallelEval/xorchain2/parallel-8",
+			"BenchmarkE9ParallelEval/xorchain2/sequential",
+		}},
+		{"gomaxprocs-2 of the same", strings.ReplaceAll(gomaxprocs1, "    10", "-2  10"), []string{
+			"BenchmarkE9ParallelEval/xorchain2/parallel-1",
+			"BenchmarkE9ParallelEval/xorchain2/parallel-8",
+			"BenchmarkE9ParallelEval/xorchain2/sequential",
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := parseFile(writeBench(t, "bench.txt", tc.content))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if names := sortedNames(got); strings.Join(names, " ") != strings.Join(tc.want, " ") {
+				t.Errorf("names = %v, want %v", names, tc.want)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -249,6 +250,9 @@ func run(args []string) error {
 		}
 		if *metrics {
 			fmt.Fprintln(os.Stderr, collector.Metrics.Snapshot().String())
+		}
+		if errors.Is(err, governor.ErrAdmission) {
+			err = fmt.Errorf("%w (reject before running; override with -admit=false)", err)
 		}
 		if err != nil {
 			// A governor kill still has a story to tell: render the spans

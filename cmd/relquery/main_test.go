@@ -83,6 +83,16 @@ func TestRunBudget(t *testing.T) {
 	}
 }
 
+// TestRunAdmitHint checks an admission rejection points at the CLI's
+// override flag.
+func TestRunAdmitHint(t *testing.T) {
+	db := writeFile(t, "db.rel", testDB)
+	err := run([]string{"-db", db, "-query", "pi[A B](T) * pi[B C](T)", "-budget", "3", "-admit"})
+	if err == nil || !strings.Contains(err.Error(), "override with -admit=false") {
+		t.Errorf("admission error %v carries no -admit hint", err)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	db := writeFile(t, "db.rel", testDB)
 	cases := [][]string{

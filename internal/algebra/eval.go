@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -31,13 +30,11 @@ type Evaluator struct {
 	// materializing. The zero Limits (with a background context) keeps the
 	// engine on its ungoverned zero-overhead path.
 	Limits governor.Limits
-	// Admit, when true, turns on pre-flight admission control: before a
-	// join node runs on the greedy binary planner, its predicted peak
-	// intermediate (the larger of the System R estimate and the
-	// worst-case greedy AGM peak) is compared against the
-	// intermediate-row budget, and the node is rejected with
-	// governor.ErrAdmission instead of being killed mid-flight. Join
-	// nodes routed to the output-bounded strategies (wcoj, yannakakis)
+	// Admit, when true, turns on pre-flight admission control: a join
+	// node about to run on the greedy binary planner is rejected by its
+	// join.Plan (Plan.Admit) when the predicted peak intermediate exceeds
+	// the intermediate-row budget, instead of being killed mid-flight.
+	// Nodes routed to the output-bounded strategies (wcoj, yannakakis)
 	// are always admitted — the row budget still guards them during
 	// execution. False (the default) is the override: mis-predicted
 	// queries run and the mid-flight checkpoints catch real violations.
@@ -51,11 +48,10 @@ type Evaluator struct {
 	Degrade bool
 	// AutoWCOJ, when true, lets each n-ary join node of three or more
 	// inputs switch to the worst-case-optimal generic join (join.Generic)
-	// when the greedy binary planner's estimated peak intermediate
-	// (join.PredictedPeakGreedy) exceeds the node's AGM output bound —
-	// the regime of the paper's Lemma 1 gadgets, where every binary plan
-	// is predicted to materialize more than the n-ary output justifies.
-	// Nodes below that threshold keep the configured binary algorithm.
+	// when its join.Plan predicts a blow-up: the greedy binary planner's
+	// predicted peak (Plan.Peak) exceeds the node's AGM output bound —
+	// the regime of the paper's Lemma 1 gadgets. Nodes below that
+	// threshold keep the configured binary algorithm.
 	// Set Algorithm to join.Generic{} to force the generic join on every
 	// join node instead.
 	AutoWCOJ bool
@@ -366,7 +362,9 @@ func (ev *Evaluator) evalArgs(exprs []Expr, db relation.Database, memo *memoTabl
 
 // multi joins args under the node's execution context, aborting
 // mid-plan — and, under a governor, mid-join — as soon as any checkpoint
-// trips.
+// trips. The node's join.Plan is built once here; the strategy choice,
+// the admission gate, the span annotation and the n-ary executors all
+// read it.
 func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governor.Governor) (*relation.Relation, error) {
 	if sp != nil {
 		ins := make([]int, len(args))
@@ -376,79 +374,58 @@ func (ev *Evaluator) multi(args []*relation.Relation, sp *obs.Span, gov *governo
 		sp.SetInputs(ins)
 	}
 	x := join.Exec{Metrics: ev.Collector.M(), Gov: gov, Span: sp}
+	p := join.NewPlan(args)
 	alg := ev.algorithm()
-	if len(args) == 1 {
-		// join.Multi passes a single input through without a binary
-		// join; fold it into the intermediate statistics anyway.
-		x.Metrics.ObserveIntermediate(args[0].Len())
+	_, forcedY := alg.(join.Yannakakis)
+	if forcedY || (ev.AutoYannakakis && len(args) > 2) {
+		// A binary join's only intermediate is its own output, so the
+		// full reducer has nothing to save there — auto mode runs GYO
+		// detection on 3+-ary nodes only. Forced mode always detects:
+		// two edges are trivially acyclic.
+		if _, acyclic := p.JoinTree(); acyclic {
+			return ev.outputBounded(x, p, join.Yannakakis{})
+		}
+		// Cyclic: record the verdict and fall through — to the AGM
+		// blow-up check under auto, or (forced) to the binary planner
+		// over the algorithm's pairwise-reduced joins.
+		sp.SetStructure(obs.StructureCyclic)
 	}
-	if len(args) > 1 {
-		_, forcedY := alg.(join.Yannakakis)
-		if forcedY || (ev.AutoYannakakis && len(args) > 2) {
-			// A binary join's only intermediate is its own output, so the
-			// full reducer has nothing to save there — auto mode runs GYO
-			// detection on 3+-ary nodes only. Forced mode always detects:
-			// two edges are trivially acyclic.
-			if join.Acyclic(join.SchemesOf(args)) {
-				return ev.multiYannakakis(x, args)
-			}
-			// Cyclic: record the verdict and fall through — to the AGM
-			// blow-up check under auto, or (forced) to the binary planner
-			// over the algorithm's pairwise-reduced joins.
-			sp.SetStructure(obs.StructureCyclic)
-		}
-		if _, forced := alg.(join.Generic); forced {
-			return ev.multiGeneric(x, args)
-		}
-		if ev.AutoWCOJ && len(args) > 2 {
-			// Binary joins cannot exceed their own AGM bound, so only
-			// 3+-ary nodes can blow up past the n-ary bound. The peak is
-			// predicted two ways: System R estimates (catches workloads
-			// whose statistics already promise large intermediates) and
-			// the worst-case AGM bound of each greedy accumulator
-			// (catches the Lemma 1 gadgets, whose correlations defeat
-			// the independence assumption behind the estimates).
-			if bound := join.AGMBoundOf(args); bound > 0 {
-				peak := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
-				if peak > bound {
-					return ev.multiGeneric(x, args)
-				}
-			}
-		}
+	// The Lemma 1 regime: the binary planner's predicted peak exceeds the
+	// n-ary AGM bound. Binary joins cannot exceed their own AGM bound, so
+	// only 3+-ary nodes can blow up past the n-ary bound.
+	_, forced := alg.(join.Generic)
+	if forced || (ev.AutoWCOJ && len(args) > 2 && p.AGMBound() > 0 && p.Peak() > p.AGMBound()) {
+		return ev.outputBounded(x, p, join.Generic{})
 	}
-	return ev.multiBinary(x, args, alg, ev.Order)
+	return ev.multiBinary(x, p, alg, ev.Order)
+}
+
+// annotate records the node's AGM bound and strategy on its span.
+func annotate(sp *obs.Span, p *join.Plan, alg join.Algorithm) {
+	if sp == nil {
+		return
+	}
+	sp.SetAGMBound(p.AGMBound())
+	workers := 0
+	if par, ok := alg.(join.Parallel); ok {
+		workers = par.EffectiveWorkers()
+	}
+	sp.SetAlgorithm(alg.Name(), workers)
 }
 
 // multiBinary runs the binary-join planner tail of multi: the admission
 // gate, span annotation and the plan itself (join.Multi observes every
 // binary-join output through x), with strategy panics recovered to
 // errors. It is also the graceful-degradation retry target.
-func (ev *Evaluator) multiBinary(x join.Exec, args []*relation.Relation, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
-	if ev.Admit && len(args) > 1 {
-		// Pre-flight admission: reject before any join work when the
-		// binary planner's predicted peak intermediate already exceeds
-		// the budget. The output-bounded strategies never reach here —
-		// their peak is capped by their own output, so they are admitted
-		// and guarded mid-flight by the row budget instead.
-		peak := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
-		if err := x.Gov.Admit(peak, 0); err != nil {
-			var ae *governor.AdmissionError
-			if errors.As(err, &ae) {
-				ae.AGMBound = join.AGMBoundOf(args)
-			}
+func (ev *Evaluator) multiBinary(x join.Exec, p *join.Plan, alg join.Algorithm, order join.Order) (*relation.Relation, error) {
+	if ev.Admit {
+		if err := p.Admit(x.Gov, false); err != nil {
 			return nil, err
 		}
 	}
-	if x.Span != nil {
-		x.Span.SetAGMBound(join.AGMBoundOf(args))
-		workers := 0
-		if p, ok := alg.(join.Parallel); ok {
-			workers = p.EffectiveWorkers()
-		}
-		x.Span.SetAlgorithm(alg.Name(), workers)
-	}
+	annotate(x.Span, p, alg)
 	return safeJoin("binary join plan", func() (*relation.Relation, error) {
-		return join.Multi(x, args, alg, order)
+		return join.Multi(x, p.Inputs(), alg, order)
 	})
 }
 
@@ -470,80 +447,51 @@ func safeJoin(what string, fn func() (*relation.Relation, error)) (out *relation
 	return fn()
 }
 
-// degrade is the graceful-degradation ladder: when a wcoj or yannakakis
-// strategy fails with a genuine engine error (never a governor
-// violation — retrying after a deadline or budget kill would only dig
-// deeper), and the evaluator opts in via Degrade, the node is retried
-// once on the greedy binary path with the default hash join. The retry
-// is recorded in the degraded_evals metric and on the span; its own
-// failure (including a budget kill of the greedier plan) propagates.
-func (ev *Evaluator) degrade(cause error, x join.Exec, args []*relation.Relation) (*relation.Relation, error, bool) {
-	if !ev.Degrade || governor.Violated(cause) {
-		return nil, nil, false
+// outputBounded evaluates a join node on an output-bounded strategy:
+// join.Yannakakis on an α-acyclic node (it observes every relation it
+// materializes through x) or join.Generic on a predicted blow-up (its
+// only materialization, observed here, is its output — at most the AGM
+// bound the span records). A failure degrades as the Degrade field
+// describes, to the greedy binary path with the default hash join; the
+// retry's own failure propagates.
+func (ev *Evaluator) outputBounded(x join.Exec, p *join.Plan, alg join.Algorithm) (*relation.Relation, error) {
+	annotate(x.Span, p, alg)
+	what := "wcoj strategy"
+	_, acyclic := alg.(join.Yannakakis)
+	if acyclic {
+		what = "yannakakis strategy"
+		x.Span.SetStructure(obs.StructureAcyclic)
 	}
-	x.Metrics.Degraded()
-	x.Span.SetDegraded()
-	out, err := ev.multiBinary(x, args, join.Hash{}, join.Greedy)
-	if err != nil {
-		return nil, fmt.Errorf("algebra: degraded retry failed: %w (original failure: %w)", err, cause), true
-	}
-	return out, nil, true
-}
-
-// multiGeneric evaluates an n-ary join node with the worst-case-optimal
-// generic join: one attribute-at-a-time pass, no binary intermediates, so
-// the node's peak materialization is its own output — by construction at
-// most the AGM bound the span records. A strategy failure (engine error
-// or recovered panic) degrades to the greedy binary path when the
-// evaluator opts in.
-func (ev *Evaluator) multiGeneric(x join.Exec, args []*relation.Relation) (*relation.Relation, error) {
-	if x.Span != nil {
-		x.Span.SetAGMBound(join.AGMBoundOf(args))
-		x.Span.SetAlgorithm(join.Generic{}.Name(), 0)
-	}
+	var ys join.YannakakisStats
 	var gs join.GenericStats
-	out, err := safeJoin("wcoj strategy", func() (*relation.Relation, error) {
-		out, stats, err := join.Generic{}.JoinAll(x, args)
-		gs = stats
-		return out, err
+	out, err := safeJoin(what, func() (r *relation.Relation, err error) {
+		if acyclic {
+			r, ys, err = join.Yannakakis{}.JoinAll(x, p)
+		} else {
+			r, gs, err = join.Generic{}.JoinAll(x, p)
+		}
+		return r, err
 	})
 	if err != nil {
-		if dout, derr, degraded := ev.degrade(err, x, args); degraded {
-			return dout, derr
+		if !ev.Degrade || governor.Violated(err) {
+			return nil, err
 		}
-		return nil, err
+		x.Metrics.Degraded()
+		x.Span.SetDegraded()
+		out, rerr := ev.multiBinary(x, p, join.Hash{}, join.Greedy)
+		if rerr != nil {
+			return nil, fmt.Errorf("algebra: degraded retry failed: %w (original failure: %w)", rerr, err)
+		}
+		return out, nil
+	}
+	if acyclic {
+		x.Span.SetYannakakis(ys.Semijoins, ys.ReducedRows)
+		return out, nil
 	}
 	x.Span.SetWCOJ(gs.Candidates, gs.Intersections)
 	if err := x.Observe(out); err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// multiYannakakis evaluates an α-acyclic n-ary join node with Yannakakis'
-// algorithm: full semijoin reduction along the GYO join tree, then joins
-// that never outgrow the output. The algorithm observes every relation it
-// materializes — each semijoin result and each tree join — through x, so
-// the output-boundedness claim is visible in (and enforced on) the trace.
-func (ev *Evaluator) multiYannakakis(x join.Exec, args []*relation.Relation) (*relation.Relation, error) {
-	if x.Span != nil {
-		x.Span.SetAGMBound(join.AGMBoundOf(args))
-		x.Span.SetAlgorithm(join.Yannakakis{}.Name(), 0)
-		x.Span.SetStructure(obs.StructureAcyclic)
-	}
-	var ys join.YannakakisStats
-	out, err := safeJoin("yannakakis strategy", func() (*relation.Relation, error) {
-		out, stats, err := join.Yannakakis{}.JoinAll(x, args)
-		ys = stats
-		return out, err
-	})
-	if err != nil {
-		if dout, derr, degraded := ev.degrade(err, x, args); degraded {
-			return dout, derr
-		}
-		return nil, err
-	}
-	x.Span.SetYannakakis(ys.Semijoins, ys.ReducedRows)
 	return out, nil
 }
 

@@ -66,11 +66,11 @@ func AcyclicJoin(rels []*relation.Relation) (*relation.Relation, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("deps: AcyclicJoin of zero relations")
 	}
-	edges := join.SchemesOf(rels)
-	if !join.Acyclic(edges) {
-		return nil, fmt.Errorf("deps: acyclic join requires an acyclic hypergraph (schemes %v)", edges)
+	plan := join.NewPlan(rels)
+	if _, ok := plan.JoinTree(); !ok {
+		return nil, fmt.Errorf("deps: acyclic join requires an acyclic hypergraph (schemes %v)", join.SchemesOf(rels))
 	}
-	out, _, err := join.Yannakakis{}.JoinAll(join.Exec{}, rels)
+	out, _, err := join.Yannakakis{}.JoinAll(join.Exec{}, plan)
 	return out, err
 }
 

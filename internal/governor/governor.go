@@ -318,14 +318,10 @@ func (g *Governor) BytesCharged() int64 {
 	return g.bytes.Load()
 }
 
-// Admit is the pre-flight admission gate for one n-ary join node: it
-// rejects — before any join work runs — when the node's predicted peak
-// intermediate (the larger of the statistics estimate and the worst-case
-// greedy AGM peak) exceeds MaxIntermediateRows, unless the chosen
-// strategy's own peak stays within budget (boundedPeak, e.g. the n-ary
-// AGM bound for a worst-case-optimal join; pass 0 when the strategy
-// offers no such bound). With no MaxIntermediateRows, admission always
-// passes.
+// Admit is the budget comparison behind join.Plan.Admit: it rejects
+// when predictedPeak exceeds MaxIntermediateRows, unless the chosen
+// strategy's own peak bound (boundedPeak; 0 for none) stays within
+// budget. With no MaxIntermediateRows, admission always passes.
 func (g *Governor) Admit(predictedPeak, boundedPeak float64) error {
 	if g == nil {
 		return nil
@@ -337,7 +333,7 @@ func (g *Governor) Admit(predictedPeak, boundedPeak float64) error {
 	if boundedPeak > 0 && boundedPeak <= float64(max) {
 		return nil
 	}
-	return g.fail(&AdmissionError{PredictedPeak: predictedPeak, BoundedPeak: boundedPeak, Budget: max})
+	return g.fail(&AdmissionError{PredictedPeak: predictedPeak, Budget: max})
 }
 
 // AdmissionError is the rejection Admit returns: the numbers the gate
@@ -347,10 +343,8 @@ func (g *Governor) Admit(predictedPeak, boundedPeak float64) error {
 type AdmissionError struct {
 	// PredictedPeak is the node's predicted peak intermediate.
 	PredictedPeak float64
-	// BoundedPeak is the chosen strategy's own peak bound (0: none).
-	BoundedPeak float64
-	// AGMBound is the rejected node's n-ary AGM bound, filled in by the
-	// caller that knows the node's inputs (0 when not computed).
+	// AGMBound is the rejected node's n-ary AGM bound, filled in by
+	// join.Plan.Admit, which knows the node's inputs.
 	AGMBound float64
 	// Budget is the intermediate-row budget the prediction exceeded.
 	Budget int
@@ -358,7 +352,7 @@ type AdmissionError struct {
 
 // Error implements error.
 func (e *AdmissionError) Error() string {
-	return fmt.Sprintf("%v: predicted peak intermediate ≈%.0f rows > budget %d (reject before running; override with -admit=false)",
+	return fmt.Sprintf("%v: predicted peak intermediate ≈%.0f rows > budget %d",
 		ErrAdmission, e.PredictedPeak, e.Budget)
 }
 

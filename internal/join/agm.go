@@ -75,15 +75,9 @@ func FractionalCover(schemes []relation.Scheme, sizes []int) ([]float64, float64
 	return x, math.Exp2(opt)
 }
 
-// AGMBoundOf is AGMBound over materialized relations.
+// AGMBoundOf is AGMBound over materialized relations (Plan.AGMBound).
 func AGMBoundOf(rels []*relation.Relation) float64 {
-	schemes := make([]relation.Scheme, len(rels))
-	sizes := make([]int, len(rels))
-	for i, r := range rels {
-		schemes[i] = r.Scheme()
-		sizes[i] = r.Len()
-	}
-	return AGMBound(schemes, sizes)
+	return NewPlan(rels).AGMBound()
 }
 
 const lpEps = 1e-9

@@ -60,11 +60,9 @@ func EstimateJoinSize(lScheme relation.Scheme, l ColumnStats, rScheme relation.S
 // PredictedPeakGreedy simulates the greedy binary planner purely over
 // System R estimates — no joins are executed — and returns the largest
 // intermediate result a binary plan over these inputs is predicted to
-// materialize. The worst-case-optimal auto-selector compares it against
-// the n-ary AGM bound: a predicted peak above the bound means every
-// binary combination step is expected to build more tuples than the
-// n-ary output can justify, the regime of the paper's Lemma 1 gadgets.
-// Inputs with fewer than two relations predict no intermediates (0).
+// materialize. Inputs with fewer than two relations predict no
+// intermediates (0). Plan.Peak is the larger of this and
+// WorstCasePeakGreedy, from one simulation.
 func PredictedPeakGreedy(inputs []*relation.Relation) float64 {
 	est, _ := greedyPeaks(inputs)
 	return est
@@ -105,7 +103,7 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 		return est
 	}
 	pending := make([]estRel, len(inputs))
-	base := make([][]int, len(inputs))
+	base := make([][]*relation.Relation, len(inputs)) // base relations per accumulator
 	for i, r := range inputs {
 		s := Analyze(r)
 		d := make(map[relation.Attribute]float64, len(s.Distinct))
@@ -113,18 +111,7 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 			d[a] = float64(v)
 		}
 		pending[i] = estRel{scheme: r.Scheme(), rows: float64(s.Rows), distinct: d}
-		base[i] = []int{i}
-	}
-	// subsetBound is the AGM bound of the base relations an accumulator
-	// holds.
-	subsetBound := func(idx []int) float64 {
-		schemes := make([]relation.Scheme, len(idx))
-		sizes := make([]int, len(idx))
-		for k, i := range idx {
-			schemes[k] = inputs[i].Scheme()
-			sizes[k] = inputs[i].Len()
-		}
-		return AGMBound(schemes, sizes)
+		base[i] = inputs[i : i+1]
 	}
 	peak := 0.0
 	for len(pending) > 1 {
@@ -166,9 +153,9 @@ func greedyPeaks(inputs []*relation.Relation) (estPeak, worstPeak float64) {
 			}
 			merged.distinct[a] = min(v, max(est, 1))
 		}
-		mergedBase := append(append([]int{}, base[bestI]...), base[bestJ]...)
+		mergedBase := append(append([]*relation.Relation{}, base[bestI]...), base[bestJ]...)
 		if len(pending) > 2 { // intermediate, not the final full-set result
-			if wc := subsetBound(mergedBase); wc > worstPeak {
+			if wc := AGMBoundOf(mergedBase); wc > worstPeak {
 				worstPeak = wc
 			}
 		}

@@ -124,13 +124,6 @@ func JoinTreeOf(edges []relation.Scheme) (*JoinTree, bool) {
 	return tree, true
 }
 
-// Acyclic reports whether the join hypergraph with the given edges is
-// α-acyclic, without retaining the join tree.
-func Acyclic(edges []relation.Scheme) bool {
-	_, ok := JoinTreeOf(edges)
-	return ok
-}
-
 // SchemesOf collects the schemes of the given relations — the join
 // hypergraph's edges, in input order.
 func SchemesOf(rels []*relation.Relation) []relation.Scheme {

@@ -206,7 +206,7 @@ func FuzzGYO(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRel, stats, err := Yannakakis{}.JoinAll(Exec{}, rels)
+		gotRel, stats, err := Yannakakis{}.JoinAll(Exec{}, NewPlan(rels))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,17 +58,19 @@ func (Generic) Name() string { return "wcoj" }
 // Join implements Algorithm; a binary generic join is simply the two-input
 // case of JoinAll.
 func (g Generic) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	out, _, err := g.JoinAll(x, []*relation.Relation{l, r})
+	out, _, err := g.JoinAll(x, NewPlan([]*relation.Relation{l, r}))
 	return out, err
 }
 
-// JoinAll returns the natural join of all inputs in one
+// JoinAll returns the natural join of the plan's inputs in one
 // attribute-at-a-time pass, with the search-effort counters for trace
-// spans. Its only materialization is the result, which the caller
-// observes. Like Multi, joining zero relations is an error and a single
-// relation passes through unchanged.
-func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, GenericStats, error) {
+// spans; the attribute order reads the plan's fractional cover. Its
+// only materialization is the result, which the caller observes. Like
+// Multi, joining zero relations is an error and a single relation
+// passes through unchanged.
+func (Generic) JoinAll(x Exec, p *Plan) (*relation.Relation, GenericStats, error) {
 	fault.Hit(fault.JoinStart)
+	inputs := p.Inputs()
 	switch len(inputs) {
 	case 0:
 		return nil, GenericStats{}, fmt.Errorf("join: JoinAll requires at least one input")
@@ -91,7 +93,7 @@ func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation,
 		}
 	}
 
-	order := attributeOrder(inputs, outScheme)
+	order := attributeOrder(p, outScheme)
 	tries := make([]*sortedTrie, len(inputs))
 	indexed := 0
 	for i, r := range inputs {
@@ -129,24 +131,17 @@ func (Generic) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation,
 // cover mass = the attribute sits in the relations the AGM bound charges,
 // so binding it early prunes against the bound), then by union-scheme
 // position for determinism.
-func attributeOrder(inputs []*relation.Relation, union relation.Scheme) []relation.Attribute {
-	schemes := make([]relation.Scheme, len(inputs))
-	sizes := make([]int, len(inputs))
-	for i, r := range inputs {
-		schemes[i] = r.Scheme()
-		sizes[i] = r.Len()
-	}
-	cover, _ := FractionalCover(schemes, sizes)
-
+func attributeOrder(p *Plan, union relation.Scheme) []relation.Attribute {
+	p.AGMBound() // solves the LP that fills p.cover
 	attrs := union.Attrs()
 	count := make([]int, len(attrs))
 	mass := make([]float64, len(attrs))
-	for p, a := range attrs {
-		for i, sc := range schemes {
-			if sc.Has(a) {
-				count[p]++
-				if cover != nil {
-					mass[p] += cover[i]
+	for k, a := range attrs {
+		for i, r := range p.Inputs() {
+			if r.Scheme().Has(a) {
+				count[k]++
+				if p.cover != nil {
+					mass[k] += p.cover[i]
 				}
 			}
 		}

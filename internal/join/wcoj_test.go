@@ -63,7 +63,7 @@ func TestGenericMatchesMultiOnFixedCases(t *testing.T) {
 	for name, inputs := range cases {
 		t.Run(name, func(t *testing.T) {
 			want := multiHash(t, inputs)
-			got, gs, err := Generic{}.JoinAll(Exec{}, inputs)
+			got, gs, err := Generic{}.JoinAll(Exec{}, NewPlan(inputs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,16 +81,16 @@ func TestGenericMatchesMultiOnFixedCases(t *testing.T) {
 }
 
 func TestGenericEdgeCases(t *testing.T) {
-	if _, _, err := (Generic{}).JoinAll(Exec{}, nil); err == nil {
+	if _, _, err := (Generic{}).JoinAll(Exec{}, NewPlan(nil)); err == nil {
 		t.Error("JoinAll(nil) succeeded")
 	}
 	one := rel(t, "A", "1")
-	got, _, err := Generic{}.JoinAll(Exec{}, []*relation.Relation{one})
+	got, _, err := Generic{}.JoinAll(Exec{}, NewPlan([]*relation.Relation{one}))
 	if err != nil || !got.Equal(one) {
 		t.Errorf("JoinAll(single) = %v, %v", got, err)
 	}
 	empty := rel(t, "B C")
-	out, _, err := Generic{}.JoinAll(Exec{}, []*relation.Relation{one, empty, rel(t, "C D", "p 7")})
+	out, _, err := Generic{}.JoinAll(Exec{}, NewPlan([]*relation.Relation{one, empty, rel(t, "C D", "p 7")}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestQuickGenericMatchesMulti(t *testing.T) {
 			randRel("C A", 1+rng.Intn(20), 4),
 		}
 		want := multiHash(t, inputs)
-		got, _, err := Generic{}.JoinAll(Exec{}, inputs)
+		got, _, err := Generic{}.JoinAll(Exec{}, NewPlan(inputs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestGenericNeverExceedsAGM(t *testing.T) {
 		bigRel(22, relation.MustScheme("B", "C"), 200, 13),
 		bigRel(23, relation.MustScheme("A", "C"), 200, 13),
 	}
-	out, _, err := Generic{}.JoinAll(Exec{}, inputs)
+	out, _, err := Generic{}.JoinAll(Exec{}, NewPlan(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestGenericMetrics(t *testing.T) {
 		rel(t, "B C", "x p", "y q"),
 		rel(t, "A C", "1 p", "2 q"),
 	}
-	out, _, err := Generic{}.JoinAll(Exec{Metrics: &m}, inputs)
+	out, _, err := Generic{}.JoinAll(Exec{Metrics: &m}, NewPlan(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,24 +61,25 @@ func (Yannakakis) Name() string { return "yannakakis" }
 // way) followed by a hash join of the reduced sides. Like every binary
 // join it observes nothing: the n-ary caller observes the result.
 func (y Yannakakis) Join(x Exec, l, r *relation.Relation) (*relation.Relation, error) {
-	out, _, err := y.join(x, []*relation.Relation{l, r}, false)
+	out, _, err := y.join(x, NewPlan([]*relation.Relation{l, r}), false)
 	return out, err
 }
 
-// JoinAll returns the natural join of all inputs with the full-reducer
-// counters for trace spans. It calls x.Observe on every relation it
-// materializes — each semijoin result and each join along the tree — so
-// the span's peak and the governor's budgets see the whole reduction.
-// Like Multi, joining zero relations is an error and a single relation
-// passes through unchanged.
-func (y Yannakakis) JoinAll(x Exec, inputs []*relation.Relation) (*relation.Relation, YannakakisStats, error) {
-	return y.join(x, inputs, true)
+// JoinAll returns the natural join of the plan's inputs along the
+// plan's GYO join tree, with the full-reducer counters for trace spans.
+// It calls x.Observe on every relation it materializes — each semijoin
+// result and each join along the tree — so the span's peak and the
+// governor's budgets see the whole reduction. Like Multi, joining zero
+// relations is an error and a single relation passes through unchanged.
+func (y Yannakakis) JoinAll(x Exec, p *Plan) (*relation.Relation, YannakakisStats, error) {
+	return y.join(x, p, true)
 }
 
 // join is JoinAll with observation switchable: the binary Join runs the
 // same reduction without observing its internal steps.
-func (Yannakakis) join(x Exec, inputs []*relation.Relation, observe bool) (*relation.Relation, YannakakisStats, error) {
+func (Yannakakis) join(x Exec, p *Plan, observe bool) (*relation.Relation, YannakakisStats, error) {
 	fault.Hit(fault.JoinStart)
+	inputs := p.Inputs()
 	if err := x.Gov.Check(); err != nil {
 		return nil, YannakakisStats{}, err
 	}
@@ -92,7 +93,7 @@ func (Yannakakis) join(x Exec, inputs []*relation.Relation, observe bool) (*rela
 	for _, r := range inputs {
 		stats.InputRows += r.Len()
 	}
-	tree, ok := JoinTreeOf(SchemesOf(inputs))
+	tree, ok := p.JoinTree()
 	if !ok {
 		// Cyclic: no join tree exists. Fall back to the greedy binary
 		// plan — sound for any join, just without the acyclic

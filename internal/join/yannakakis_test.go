@@ -17,7 +17,7 @@ func TestYannakakisChainWithDanglingTuples(t *testing.T) {
 	r2 := rel(t, "B C", "x p", "dead2 q")
 	r3 := rel(t, "C D", "p 7", "q 8")
 	m := &obs.Metrics{}
-	out, stats, err := Yannakakis{}.JoinAll(Exec{Metrics: m}, []*relation.Relation{r1, r2, r3})
+	out, stats, err := Yannakakis{}.JoinAll(Exec{Metrics: m}, NewPlan([]*relation.Relation{r1, r2, r3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestYannakakisCyclicFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1, r2, r3})
+	out, stats, err := Yannakakis{}.JoinAll(Exec{}, NewPlan([]*relation.Relation{r1, r2, r3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func TestYannakakisBinaryAndSingle(t *testing.T) {
 	if !out.Equal(rel(t, "A B C", "1 x p")) {
 		t.Errorf("binary join = %v", out.Sorted())
 	}
-	single, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1})
+	single, stats, err := Yannakakis{}.JoinAll(Exec{}, NewPlan([]*relation.Relation{r1}))
 	if err != nil || single != r1 {
 		t.Errorf("single input: %v, %v", single, err)
 	}
 	if !stats.Acyclic || stats.InputRows != 2 || stats.ReducedRows != 2 {
 		t.Errorf("single-input stats = %+v", stats)
 	}
-	if _, _, err := (Yannakakis{}).JoinAll(Exec{}, nil); err == nil {
+	if _, _, err := (Yannakakis{}).JoinAll(Exec{}, NewPlan(nil)); err == nil {
 		t.Error("zero inputs accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestYannakakisDisconnectedComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1, r2, r3})
+	out, stats, err := Yannakakis{}.JoinAll(Exec{}, NewPlan([]*relation.Relation{r1, r2, r3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestYannakakisEmptyRelationEmptiesJoin(t *testing.T) {
 	r1 := rel(t, "A B", "1 x")
 	r2 := rel(t, "B C") // empty
 	r3 := rel(t, "C D", "p 7")
-	out, stats, err := Yannakakis{}.JoinAll(Exec{}, []*relation.Relation{r1, r2, r3})
+	out, stats, err := Yannakakis{}.JoinAll(Exec{}, NewPlan([]*relation.Relation{r1, r2, r3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestYannakakisObserveAborts(t *testing.T) {
 	// The first semijoin result already overdraws a one-byte memory
 	// budget: Observe's charge must abort the reduction.
 	x := Exec{Gov: governor.New(context.Background(), governor.Limits{MaxMemoryBytes: 1})}
-	_, _, err := Yannakakis{}.JoinAll(x, []*relation.Relation{r1, r2, r3})
+	_, _, err := Yannakakis{}.JoinAll(x, NewPlan([]*relation.Relation{r1, r2, r3}))
 	if !errors.Is(err, governor.ErrMemBudget) {
 		t.Errorf("observe error not propagated: %v", err)
 	}

@@ -144,12 +144,6 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	}
 	limits := q.limitsFor(t)
 
-	// Pre-flight admission on the base relations the expression touches:
-	// the same max(PredictedPeakGreedy, WorstCasePeakGreedy) threshold
-	// the engine's per-node gate uses, applied before any work runs. The
-	// n-ary AGM bound passes output-bounded strategies (wcoj, yannakakis,
-	// and auto — which routes blow-ups to them) under the bounded-peak
-	// rule of governor.Admit.
 	if rejected := s.admit(w, q, expr, db, t, limits); rejected {
 		return
 	}
@@ -216,40 +210,31 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, t *tenant) {
 	}
 }
 
-// admit runs the server-level admission gate and, when the query is
-// over budget, writes the 429 and reports true. The gate also charges
-// the rejection to the registry (violation counter + latency) so
-// /metrics shows rejected load next to executed load.
+// admit runs the server-level admission gate — the join.Plan rule the
+// engine applies per node, here over the base relations the expression
+// touches, before any work runs — and, when the query is over budget,
+// writes the 429 and reports true. The output-bounded strategies (wcoj,
+// yannakakis, and auto, which routes blow-ups to them) pass when the
+// n-ary AGM bound fits the budget. A rejection is charged to the
+// registry (violation counter + latency) so /metrics shows rejected
+// load next to executed load.
 func (s *Server) admit(w http.ResponseWriter, q *queryRequest, expr algebra.Expr, db relation.Database, t *tenant, limits governor.Limits) bool {
-	budget := limits.MaxIntermediateRows
-	if budget <= 0 {
+	if limits.MaxIntermediateRows <= 0 {
 		return false
 	}
 	var args []*relation.Relation
-	for _, name := range dedupe(expr.Operands()) {
+	for _, name := range expr.Operands() {
 		if r, ok := db[name]; ok {
 			args = append(args, r)
 		}
 	}
-	predicted := max(join.PredictedPeakGreedy(args), join.WorstCasePeakGreedy(args))
-	agm := join.AGMBoundOf(args)
-	bounded := 0.0
-	switch q.strategy {
-	case "wcoj", "yannakakis", "auto":
-		// Output-bounded strategies never materialize past the n-ary AGM
-		// bound; auto routes predicted blow-ups to them.
-		bounded = agm
-	}
+	outputBounded := q.strategy == "wcoj" || q.strategy == "yannakakis" || q.strategy == "auto"
 	collector := &obs.Collector{}
 	gov := governor.New(context.Background(), limits).WithMetrics(collector.M())
 	start := time.Now()
-	err := gov.Admit(predicted, bounded)
+	err := join.NewPlan(args).Admit(gov, outputBounded)
 	if err == nil {
 		return false
-	}
-	var ae *governor.AdmissionError
-	if errors.As(err, &ae) {
-		ae.AGMBound = agm
 	}
 	s.metrics.evalDone(t.name)
 	s.reg.Observe(collector.Trace(), time.Since(start))
@@ -315,18 +300,4 @@ func streamResult(w http.ResponseWriter, expr algebra.Expr, out *relation.Relati
 	}
 	fmt.Fprintln(bw, "end")
 	_ = bw.Flush()
-}
-
-// dedupe returns names with duplicates removed, order preserved.
-func dedupe(names []string) []string {
-	seen := make(map[string]struct{}, len(names))
-	out := names[:0:0]
-	for _, n := range names {
-		if _, ok := seen[n]; ok {
-			continue
-		}
-		seen[n] = struct{}{}
-		out = append(out, n)
-	}
-	return out
 }

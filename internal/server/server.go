@@ -9,16 +9,18 @@
 // relation fingerprints, and a process-wide obs.Registry served by the
 // embedded telemetry mux.
 //
-// The package closes ROADMAP item 3: Cosmadakis' hardness results are
-// about arbitrary queries hitting a shared engine, and this is the
-// shared engine — admission rejects the queries whose predicted peak
-// (max of the System R greedy simulation and the worst-case AGM greedy
-// peak) already exceeds the tenant's intermediate-row budget, before
-// any join runs, with HTTP 429 carrying the numbers.
+// Cosmadakis' hardness results are about arbitrary queries hitting a
+// shared engine, and this is the shared engine: admission rejects the
+// queries whose predicted peak (join.Plan.Peak: the larger of the
+// System R greedy simulation and the worst-case AGM greedy peak)
+// already exceeds the tenant's intermediate-row budget, before any join
+// runs, with HTTP 429 carrying the numbers. The rule is
+// join.Plan.Admit, the same one the engine applies to each join node.
 package server
 
 import (
 	"net/http"
+	"sort"
 	"sync"
 
 	"relquery/internal/algebra"
@@ -60,8 +62,8 @@ type Config struct {
 	// tenants; 0 means DefaultMaxConcurrent, negative means unbounded.
 	MaxConcurrent int
 	// DisableCache turns off the shared cross-request subexpression
-	// cache (on by default — it is the plan-cache half of ROADMAP item 3
-	// and is sound because cache keys carry relation fingerprints).
+	// cache (on by default — it is sound because cache keys carry
+	// relation fingerprints).
 	DisableCache bool
 	// Registry receives every evaluation for /metrics and /debug/traces;
 	// nil creates a fresh one.
@@ -158,7 +160,7 @@ func (s *Server) tenant(name string) *tenant {
 	return t
 }
 
-// tenantNames returns the known tenants in sorted order.
+// tenantList returns the known tenants in name order.
 func (s *Server) tenantList() []*tenant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -166,6 +168,7 @@ func (s *Server) tenantList() []*tenant {
 	for _, t := range s.tenants {
 		out = append(out, t)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 

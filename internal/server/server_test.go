@@ -168,6 +168,71 @@ func TestSingleOperandAdmissionReportsNumbers(t *testing.T) {
 	}
 }
 
+// TestAdmissionVerdictPerStrategy pins the admission verdict of every
+// ?strategy= on the triangle R(A,B) ∗ S(B,C) ∗ U(A,C), each relation
+// all 10×10 value pairs, under budget 5000. Any binary plan first joins
+// two relations into a worst-case 10000-row intermediate, so the
+// binary strategies are rejected; the AGM bound (1000, the output) fits
+// the budget, so wcoj and auto run. yannakakis passes the server gate
+// but falls back to the binary planner on this cyclic query, whose
+// per-node gate rejects it.
+func TestAdmissionVerdictPerStrategy(t *testing.T) {
+	full := func(a, b string) *relation.Relation {
+		r := relation.New(relation.MustScheme(relation.Attribute(a), relation.Attribute(b)))
+		for i := 0; i < 10; i++ {
+			for j := 0; j < 10; j++ {
+				r.MustAdd(relation.TupleOf(fmt.Sprint(i), fmt.Sprint(j)))
+			}
+		}
+		return r
+	}
+	s := New(Config{
+		Tenants:      map[string]governor.Limits{"tri": {MaxIntermediateRows: 5000}},
+		DisableCache: true,
+	})
+	s.Load("tri", relation.Database{"R": full("A", "B"), "S": full("B", "C"), "U": full("A", "C")})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	for strategy, want := range map[string]int{
+		"hash":       http.StatusTooManyRequests,
+		"sortmerge":  http.StatusTooManyRequests,
+		"nestedloop": http.StatusTooManyRequests,
+		"parallel":   http.StatusTooManyRequests,
+		"yannakakis": http.StatusTooManyRequests,
+		"wcoj":       http.StatusOK,
+		"auto":       http.StatusOK,
+	} {
+		resp := postQuery(t, ts, "tri", "R * S * U", "count=1&strategy="+strategy)
+		if resp.StatusCode != want {
+			t.Errorf("strategy=%s: status %d, want %d; body: %s", strategy, resp.StatusCode, want, readBody(t, resp))
+			continue
+		}
+		if want == http.StatusOK {
+			if rows := resp.Header.Get("X-Relquery-Rows"); rows != "1000" {
+				t.Errorf("strategy=%s: X-Relquery-Rows = %q, want 1000", strategy, rows)
+			}
+		}
+	}
+}
+
+// TestAdmissionErrorNamesNoCLIFlag checks the 429 body's error text:
+// relqueryd has no -admit option, so it must not suggest one.
+func TestAdmissionErrorNamesNoCLIFlag(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp := postQuery(t, ts, "free", chainQuery, "")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", resp.StatusCode)
+	}
+	var reject admissionReject
+	if err := json.NewDecoder(resp.Body).Decode(&reject); err != nil {
+		t.Fatalf("decoding 429 body: %v", err)
+	}
+	if strings.Contains(reject.Error, "-admit") {
+		t.Errorf("429 error %q mentions -admit", reject.Error)
+	}
+}
+
 // TestRepeatedQueryHitsSharedCache submits the same query twice and
 // checks the shared cross-request subexpression cache served the second
 // evaluation, both in the response header and in /metrics.
@@ -488,6 +553,34 @@ func TestTenantsEndpoint(t *testing.T) {
 	for _, want := range []string{`"acme"`, `"free"`, `"budget_intermediate_rows": 2000`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/v1/tenants body missing %s:\n%s", want, body)
+		}
+	}
+}
+
+// TestTenantsListedInNameOrder checks /v1/tenants lists tenants sorted
+// by name, not in map order.
+func TestTenantsListedInNameOrder(t *testing.T) {
+	tenants := make(map[string]governor.Limits)
+	for i := 0; i < 20; i++ {
+		tenants[fmt.Sprintf("t%02d", i)] = governor.Limits{}
+	}
+	ts := httptest.NewServer(New(Config{Tenants: tenants}).Handler())
+	t.Cleanup(ts.Close)
+	resp, err := http.Get(ts.URL + "/v1/tenants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got []struct{ Name string }
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(tenants) {
+		t.Fatalf("listed %d tenants, want %d", len(got), len(tenants))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i-1].Name >= got[i].Name {
+			t.Fatalf("tenants out of order at %d: %q then %q", i, got[i-1].Name, got[i].Name)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func BenchmarkGenericJoinDirect(b *testing.B) {
 	b.Run("wcoj", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := (join.Generic{}).JoinAll(join.Exec{}, legs); err != nil {
+			if _, _, err := (join.Generic{}).JoinAll(join.Exec{}, join.NewPlan(legs)); err != nil {
 				b.Fatal(err)
 			}
 		}
